@@ -15,7 +15,11 @@ from repro.estimators.metrics import (
     absolute_relative_error,
     mean_absolute_relative_error,
 )
-from repro.graph.stream import EdgeStream
+from repro.graph.stream import (
+    EdgeStream,
+    checkpoint_positions,
+    checkpoint_segments,
+)
 from repro.patterns.exact import ExactCounter
 from repro.samplers.base import SubgraphCountingSampler
 from repro.utils.timer import Stopwatch
@@ -65,25 +69,23 @@ def run_with_trace(
     The exact counter may be shared across trials via ``exact`` — pass a
     *fresh* counter (or None to build one); it is consumed by the run.
     Only sampler time is accumulated into ``sampler_seconds`` so timing
-    comparisons are not polluted by ground-truth bookkeeping.
+    comparisons are not polluted by ground-truth bookkeeping. The
+    sampler ingests each checkpoint segment through ``process_batch``
+    (:func:`~repro.graph.stream.checkpoint_segments`, the experiment
+    runner's loop), which is bit-identical to per-event processing.
     """
-    if num_checkpoints < 1:
-        raise ConfigurationError("num_checkpoints must be >= 1")
-    if exact is None:
-        exact = ExactCounter(sampler.pattern)
-    trace = EstimateTrace()
     n = len(stream)
+    checkpoints = checkpoint_positions(n, num_checkpoints)
     if n == 0:
         raise ConfigurationError("cannot trace an empty stream")
-    step = max(1, n // num_checkpoints)
+    if exact is None:
+        exact = ExactCounter(sampler.pattern)
+    trace = EstimateTrace(checkpoints=list(checkpoints))
     watch = Stopwatch()
-    for i, event in enumerate(stream, start=1):
+    for segment in checkpoint_segments(stream, checkpoints):
         with watch:
-            sampler.process(event)
-        exact.process(event)
-        if i % step == 0 or i == n:
-            trace.checkpoints.append(i)
-            trace.estimates.append(sampler.estimate)
-            trace.truths.append(exact.count)
+            sampler.process_batch(segment)
+        trace.estimates.append(sampler.estimate)
+        trace.truths.append(exact.process_stream(segment))
     trace.sampler_seconds = watch.elapsed
     return trace

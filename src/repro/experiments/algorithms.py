@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.graph.datasets import DATASETS, TRAIN_TEST_PAIRS, load_dataset
-from repro.rl.policy import Policy
+from repro.rl.policy import FrozenPolicy, Policy
 from repro.rl.training import (
     TrainingConfig,
     make_training_streams,
@@ -65,13 +65,19 @@ def make_sampler(
 ) -> SubgraphCountingSampler:
     """Instantiate an algorithm by its paper name.
 
-    ``policy`` is required for WSD-L; ``temporal_aggregation`` threads
-    through to its state features (Table XIII ablation).
+    ``policy`` is required for WSD-L, and is served frozen
+    (:meth:`~repro.rl.policy.Policy.freeze`) from the kernels' block
+    path; ``temporal_aggregation`` threads through to its state features
+    (Table XIII ablation).
     """
     key = name.upper().replace("_", "-")
     if key == "WSD-L":
         if policy is None:
             raise ConfigurationError("WSD-L requires a trained policy")
+        # The frozen actor gives the same weights from the kernels'
+        # block path, without a WeightContext per insertion.
+        if not isinstance(policy, FrozenPolicy):
+            policy = policy.freeze()
         weight_fn = LearnedWeight(
             policy, temporal_aggregation=temporal_aggregation
         )

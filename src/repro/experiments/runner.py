@@ -9,6 +9,7 @@ repetitions per cell; the default here is smaller but configurable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,12 @@ from repro.estimators.metrics import (
 )
 from repro.experiments.algorithms import make_sampler
 from repro.experiments.config import ExperimentConfig
-from repro.graph.stream import EdgeStream
+from repro.graph.stream import (
+    EdgeEvent,
+    EdgeStream,
+    checkpoint_positions,
+    checkpoint_segments,
+)
 from repro.patterns.exact import ExactCounter
 from repro.patterns.matching import get_pattern
 from repro.rl.policy import Policy
@@ -95,47 +101,42 @@ def compute_ground_truth(
     stream: EdgeStream, pattern: str, num_checkpoints: int
 ) -> GroundTruthTrace:
     """Exact counts of ``pattern`` at ``num_checkpoints`` even checkpoints."""
-    if num_checkpoints < 1:
-        raise ConfigurationError("num_checkpoints must be >= 1")
+    checkpoints = checkpoint_positions(len(stream), num_checkpoints)
     counter = ExactCounter(pattern)
-    n = len(stream)
-    step = max(1, n // num_checkpoints)
-    checkpoints: list[int] = []
-    truths: list[int] = []
-    for i, event in enumerate(stream, start=1):
-        counter.process(event)
-        if i % step == 0 or i == n:
-            checkpoints.append(i)
-            truths.append(counter.count)
-    return GroundTruthTrace(tuple(checkpoints), tuple(truths))
+    truths = tuple(
+        counter.process_stream(segment)
+        for segment in checkpoint_segments(stream, checkpoints)
+    )
+    return GroundTruthTrace(checkpoints, truths)
 
 
 def run_sampler_trial(
-    sampler, stream: EdgeStream, truth: GroundTruthTrace
+    sampler, stream: Iterable[EdgeEvent], truth: GroundTruthTrace
 ) -> TrialResult:
     """Run one sampler over the stream, sampling estimates at checkpoints.
 
+    The stream is iterated once, to the end, and cut at the truth's
+    checkpoints (:func:`~repro.graph.stream.checkpoint_segments`); each
+    segment goes to the consumer's ``process_batch`` whole, which is
+    bit-identical to feeding its events one by one. Only that call and
+    the checkpoint estimate read are timed. On the process backend
+    ``process_batch`` ends in the barrier where the pipelined ingestion
+    completes, so the reported seconds stay comparable with serial
+    rows. A stream that yields fewer or more events than the truth's
+    last checkpoint raises :class:`ConfigurationError`.
+
     Consumers exposing ``close()`` (the process-backend executor) are
     closed when the trial ends, successfully or not, so worker
-    processes never outlive their trial. The stopwatch brackets both
-    the per-event ingestion *and* the checkpoint estimate reads: for
-    the process backend an estimate read is the synchronisation barrier
-    where the pipelined ingestion actually completes, so excluding it
-    would record enqueue-side time only and make the reported seconds
-    incomparable with serial rows.
+    processes never outlive their trial.
     """
-    targets = set(truth.checkpoints)
     estimates: list[float] = []
     watch = Stopwatch()
-    n = len(stream)
     close = getattr(sampler, "close", None)
     try:
-        for i, event in enumerate(stream, start=1):
+        for segment in checkpoint_segments(stream, truth.checkpoints):
             with watch:
-                sampler.process(event)
-            if i in targets:
-                with watch:
-                    estimates.append(sampler.estimate)
+                sampler.process_batch(segment)
+                estimates.append(sampler.estimate)
     except BaseException:
         # The trial failure is the interesting exception; a teardown
         # failure on top of it is suppressed so it cannot mask it.
@@ -147,11 +148,6 @@ def run_sampler_trial(
         raise
     if close is not None:
         close()  # clean trial: a teardown failure is a real failure
-    if len(estimates) != len(truth.checkpoints):
-        raise ConfigurationError(
-            f"checkpoint mismatch: {len(estimates)} estimates vs "
-            f"{len(truth.checkpoints)} truths over {n} events"
-        )
     return TrialResult(tuple(estimates), watch.elapsed, truth.final_truth)
 
 

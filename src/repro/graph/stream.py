@@ -22,11 +22,12 @@ import io
 import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from repro.errors import StreamFormatError
+from repro.errors import ConfigurationError, StreamFormatError
 from repro.graph.edges import Edge, Vertex, canonical_edge
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "EdgeEvent",
     "EdgeStream",
     "EventBlock",
+    "checkpoint_positions",
+    "checkpoint_segments",
     "iter_stream_file",
 ]
 
@@ -196,6 +199,59 @@ class EdgeStream(Sequence[EdgeEvent]):
     def to_block(self) -> "EventBlock":
         """Columnar view of this stream (int vertex labels required)."""
         return EventBlock.from_events(self._events)
+
+
+def checkpoint_positions(
+    num_events: int, num_checkpoints: int
+) -> tuple[int, ...]:
+    """The 1-based event counts at which a checkpointed run reads out.
+
+    Every ``max(1, num_events // num_checkpoints)``-th event, plus the
+    last event when that step does not land on it.
+    """
+    if num_checkpoints < 1:
+        raise ConfigurationError("num_checkpoints must be >= 1")
+    step = max(1, num_events // num_checkpoints)
+    positions = list(range(step, num_events + 1, step))
+    if positions and positions[-1] != num_events:
+        positions.append(num_events)
+    return tuple(positions)
+
+
+def checkpoint_segments(
+    events: Iterable[EdgeEvent], checkpoints: Sequence[int]
+) -> Iterator[list[EdgeEvent]]:
+    """Cut ``events`` into the segments that end at ``checkpoints``.
+
+    ``checkpoints`` are increasing 1-based event counts, as
+    :func:`checkpoint_positions` gives them. The ``i``-th list holds
+    the events after checkpoint ``i - 1`` up to and including
+    checkpoint ``i``, so a consumer that ingests each list whole
+    (``process_batch``) and then reads its state reads it at exactly
+    the checkpoint. ``events`` is iterated once and to the end: after
+    the last segment one more event is asked for, to confirm there is
+    none.
+
+    Raises:
+        ConfigurationError: the events run out before the last
+            checkpoint, or continue past it.
+    """
+    iterator = iter(events)
+    done = 0
+    for end in checkpoints:
+        segment = list(islice(iterator, end - done))
+        done += len(segment)
+        if done != end:
+            raise ConfigurationError(
+                f"checkpoint mismatch: the events ran out after {done} "
+                f"of {checkpoints[-1]}"
+            )
+        yield segment
+    if next(iterator, None) is not None:
+        raise ConfigurationError(
+            f"checkpoint mismatch: the events continue past the last "
+            f"checkpoint ({done})"
+        )
 
 
 #: Wire header of an encoded :class:`EventBlock`: magic + event count.

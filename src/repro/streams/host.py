@@ -491,10 +491,12 @@ def main(argv=None) -> int:
         auth_key=args.auth_key,
         max_frame_bytes=args.max_frame_bytes,
     )
-    print(f"shard host agent listening on {agent.address}", flush=True)
     try:
+        print(f"shard host agent listening on {agent.address}", flush=True)
         agent.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
+    except KeyboardInterrupt:
+        pass
+    finally:
         agent.shutdown()
     return 0
 

@@ -1530,12 +1530,14 @@ def main(argv: list[str] | None = None) -> int:
         max_frame_bytes=args.max_frame_bytes,
     )
     service = CountingService(config)
-    address = service.start()
-    print(f"counting service listening on {address}", flush=True)
-    restored = service.streams()
-    if restored:
-        print(f"restored streams: {', '.join(restored)}", flush=True)
+    # Everything after construction sits inside the try, so a SIGINT
+    # at any point still runs stop() and its stop-time checkpoint.
     try:
+        address = service.start()
+        print(f"counting service listening on {address}", flush=True)
+        restored = service.streams()
+        if restored:
+            print(f"restored streams: {', '.join(restored)}", flush=True)
         service.serve_forever()
     except KeyboardInterrupt:
         pass

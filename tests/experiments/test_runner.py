@@ -14,13 +14,15 @@ from repro.experiments.algorithms import (
 from repro.experiments.config import LIGHT, ExperimentConfig
 from repro.experiments.runner import (
     compute_ground_truth,
+    make_trial_sampler,
     run_algorithm,
     run_cell,
     run_sampler_trial,
 )
 from repro.graph.generators import powerlaw_cluster
+from repro.graph.stream import EdgeStream
 from repro.patterns.exact import ExactCounter
-from repro.rl.policy import Policy
+from repro.rl.policy import FrozenPolicy, Policy
 from repro.samplers.gps import GPS
 from repro.samplers.gps_a import GPSA
 from repro.samplers.thinkd import ThinkD
@@ -28,6 +30,8 @@ from repro.samplers.triest import Triest
 from repro.samplers.wrs import WRS
 from repro.samplers.wsd import WSD
 from repro.streams.scenarios import light_deletion_stream
+from repro.utils.rng import RngFactory
+from repro.weights.learned import LearnedWeight
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,62 @@ def workload():
 
 def dummy_policy():
     return Policy(weights=np.zeros(6), bias=0.0)
+
+
+def varied_policy(pattern):
+    """A policy whose weights vary from edge to edge (|H| + 3 inputs)."""
+    rng = np.random.default_rng(11)
+    dim = 3 + (3 if pattern == "triangle" else 2)
+    return Policy(weights=rng.normal(size=dim), bias=0.5)
+
+
+@pytest.fixture(scope="module")
+def cells():
+    """(stream, truth) per (pattern, insertion-only); GPS needs the latter."""
+    edges = powerlaw_cluster(100, m=4, triangle_probability=0.7, rng=0)
+    streams = {
+        False: light_deletion_stream(edges, beta_l=0.2, rng=1),
+        True: EdgeStream.from_edges(edges),
+    }
+    return {
+        (pattern, insertion_only): (
+            stream, compute_ground_truth(stream, pattern, 10)
+        )
+        for pattern in ("triangle", "wedge")
+        for insertion_only, stream in streams.items()
+    }
+
+
+def per_event_estimates(consumer, stream, checkpoints):
+    """The reference loop: one ``process()`` per event, a read per checkpoint."""
+    targets = set(checkpoints)
+    estimates = []
+    for i, event in enumerate(stream, start=1):
+        consumer.process(event)
+        if i in targets:
+            estimates.append(consumer.estimate)
+    return estimates
+
+
+class OnePassStream:
+    """A sized stream that can only be iterated; it counts what it yields."""
+
+    def __init__(self, events, length=None):
+        self.events = list(events)
+        self.length = len(self.events) if length is None else length
+        self.passes = 0
+        self.yielded = 0
+        self.exhausted = False
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        self.passes += 1
+        for event in self.events:
+            self.yielded += 1
+            yield event
+        self.exhausted = True
 
 
 class TestFactory:
@@ -112,6 +172,80 @@ class TestRunSamplerTrial:
         assert len(result.estimates) == len(truth.checkpoints)
         assert result.seconds > 0.0
         assert result.final_truth == truth.final_truth
+
+
+class TestSegmentRunner:
+    """The runner feeds each checkpoint segment to ``process_batch``; the
+    estimates must be the per-event ones at every checkpoint."""
+
+    @pytest.mark.parametrize("pattern", ["triangle", "wedge"])
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_matches_per_event_reference(self, cells, name, pattern):
+        stream, truth = cells[pattern, name == "GPS"]
+        policy = varied_policy(pattern) if name == "WSD-L" else None
+
+        def build():
+            return make_trial_sampler(
+                name, pattern, 40, RngFactory(3), 0, policy=policy
+            )
+
+        result = run_sampler_trial(build(), stream, truth)
+        assert list(result.estimates) == per_event_estimates(
+            build(), stream, truth.checkpoints
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_partition_executor_matches_per_event_reference(
+        self, cells, backend
+    ):
+        stream, truth = cells["triangle", False]
+
+        def build(executor_backend):
+            return make_trial_sampler(
+                "WSD-H", "triangle", 40, RngFactory(3), 0, shards=2,
+                executor_backend=executor_backend,
+            )
+
+        result = run_sampler_trial(build(backend), stream, truth)
+        assert list(result.estimates) == per_event_estimates(
+            build("serial"), stream, truth.checkpoints
+        )
+
+    def test_iterate_only_stream_consumed_once_to_the_end(self, workload):
+        stream, truth = workload
+        once = OnePassStream(stream)
+        result = run_sampler_trial(
+            make_sampler("WSD-H", "triangle", 40, rng=1), once, truth
+        )
+        assert once.passes == 1
+        assert once.exhausted and once.yielded == len(stream)
+        reference = run_sampler_trial(
+            make_sampler("WSD-H", "triangle", 40, rng=1), stream, truth
+        )
+        assert result.estimates == reference.estimates
+
+    def test_stream_shorter_than_its_length_rejected(self, workload):
+        stream, truth = workload
+        short = OnePassStream(list(stream)[:-5], length=len(stream))
+        with pytest.raises(ConfigurationError, match="checkpoint mismatch"):
+            run_sampler_trial(
+                make_sampler("ThinkD", "triangle", 40, rng=1), short, truth
+            )
+
+    def test_wsd_l_served_frozen_from_the_block_path(self, cells):
+        stream, truth = cells["triangle", False]
+        policy = varied_policy("triangle")
+        served = make_sampler("WSD-L", "triangle", 40, rng=5, policy=policy)
+        assert isinstance(served.weight_fn.policy, FrozenPolicy)
+        assert served.weight_fn.block_serving
+        assert not served.weight_fn.needs_context
+        context = WSD(
+            "triangle", 40, LearnedWeight(policy, block_serving=False),
+            rng=5,
+        )
+        assert run_sampler_trial(served, stream, truth).estimates == (
+            run_sampler_trial(context, stream, truth).estimates
+        )
 
 
 class TestRunAlgorithm:

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StreamFormatError
-from repro.graph.stream import DELETE, INSERT, EdgeEvent, EdgeStream
+from repro.errors import ConfigurationError, StreamFormatError
+from repro.graph.stream import (
+    DELETE,
+    INSERT,
+    EdgeEvent,
+    EdgeStream,
+    checkpoint_positions,
+    checkpoint_segments,
+)
 
 
 class TestEdgeEvent:
@@ -130,3 +137,41 @@ class TestEdgeStream:
             EdgeEvent(op, (u, v)) for op, u, v in raw_events
         )
         assert EdgeStream.loads(stream.dumps()) == stream
+
+
+class TestCheckpointSegments:
+    def test_positions_step_and_close_on_the_last_event(self):
+        assert checkpoint_positions(10, 3) == (3, 6, 9, 10)
+        assert checkpoint_positions(9, 3) == (3, 6, 9)
+        assert checkpoint_positions(2, 5) == (1, 2)
+        assert checkpoint_positions(0, 5) == ()
+        with pytest.raises(ConfigurationError):
+            checkpoint_positions(10, 0)
+
+    def test_segments_end_at_the_checkpoints(self):
+        stream = EdgeStream.from_edges((i, i + 1) for i in range(10))
+        segments = list(checkpoint_segments(stream, (3, 6, 9, 10)))
+        assert [len(segment) for segment in segments] == [3, 3, 3, 1]
+        assert [e for segment in segments for e in segment] == list(stream)
+
+    def test_iterates_once_and_to_the_end(self):
+        asked = []
+
+        def events():
+            for i in range(4):
+                asked.append(i)
+                yield EdgeEvent.insertion(i, i + 1)
+            asked.append("end")
+
+        assert len(list(checkpoint_segments(events(), (2, 4)))) == 2
+        assert asked == [0, 1, 2, 3, "end"]
+
+    def test_short_events_rejected(self):
+        stream = EdgeStream.from_edges((i, i + 1) for i in range(5))
+        with pytest.raises(ConfigurationError, match="ran out after 5 of 6"):
+            list(checkpoint_segments(stream, (3, 6)))
+
+    def test_events_past_the_last_checkpoint_rejected(self):
+        stream = EdgeStream.from_edges((i, i + 1) for i in range(5))
+        with pytest.raises(ConfigurationError, match="continue past"):
+            list(checkpoint_segments(stream, (2, 4)))

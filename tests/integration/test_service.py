@@ -230,6 +230,40 @@ class TestDurability:
         reborn.stop()
 
 
+
+class TestServiceCli:
+    def test_sigint_before_serving_still_stops(self, monkeypatch, tmp_path):
+        """A Ctrl-C that lands between the service's start and its
+        serve loop (here: while the banner lists restored streams)
+        exits 0 through stop() and its stop-time checkpoint."""
+        from repro.streams import service as service_module
+
+        stopped = []
+        real_stop = CountingService.stop
+        real_streams = CountingService.streams
+
+        def stop(service):
+            stopped.append(service)
+            real_stop(service)
+
+        def interrupted_streams(service):
+            # One-shot, so a traceback that reprs the service still works.
+            monkeypatch.setattr(CountingService, "streams", real_streams)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CountingService, "stop", stop)
+        monkeypatch.setattr(CountingService, "streams", interrupted_streams)
+        try:
+            code = service_module.main([
+                "--listen", "127.0.0.1:0",
+                "--state-dir", str(tmp_path),
+                "--checkpoint-interval", "0",
+            ])
+        except KeyboardInterrupt:
+            pytest.fail("the Ctrl-C escaped main() instead of stopping it")
+        assert code == 0
+        assert len(stopped) == 1
+
 class TestSoak:
     """The headline scenario: socket ingest + concurrent queries +
     a worker kill + a whole-service restart, ending bit-identical."""

@@ -501,3 +501,33 @@ class TestHostAgentCli:
         finally:
             proc.terminate()
             proc.wait(timeout=10.0)
+
+    @pytest.mark.parametrize("exit_with", [KeyboardInterrupt, RuntimeError])
+    def test_agent_shut_down_however_serving_ends(self, monkeypatch, exit_with):
+        """The agent is shut down on every way out of ``main``: a
+        Ctrl-C returns 0, any other exception propagates after the
+        shutdown."""
+        from repro.streams import host as host_module
+
+        shut = []
+        real_shutdown = HostAgent.shutdown
+
+        def shutdown(agent):
+            shut.append(agent)
+            real_shutdown(agent)
+
+        def serve_forever(agent):
+            raise exit_with
+
+        monkeypatch.setattr(HostAgent, "shutdown", shutdown)
+        monkeypatch.setattr(HostAgent, "serve_forever", serve_forever)
+        argv = ["--listen", "127.0.0.1:0"]
+        if exit_with is KeyboardInterrupt:
+            try:
+                assert host_module.main(argv) == 0
+            except KeyboardInterrupt:
+                pytest.fail("the Ctrl-C escaped main() instead of stopping it")
+        else:
+            with pytest.raises(exit_with):
+                host_module.main(argv)
+        assert len(shut) == 1
