@@ -283,6 +283,23 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--min-remote-ratio requires --backend remote")
     if args.hosts < 1:
         parser.error("--hosts must be >= 1")
+    if args.ab:
+        try:
+            variant_a, variant_b = (
+                name.strip() for name in args.ab.split(",")
+            )
+        except ValueError:
+            parser.error("--ab expects two comma-separated variant names")
+        if any(
+            microbench.VARIANTS.get(name, {}).get("learned")
+            for name in (variant_a, variant_b)
+        ):
+            parser.error(
+                "--ab: the learned variants are WSD-only, but the A/B "
+                "matrices sweep every sampler; every --ab run (e.g. "
+                "--ab old,new) already records learned-ctx vs "
+                "learned-block in its 'ab_learned' section"
+            )
 
     tests_passed = None
     if not args.skip_tests:
@@ -332,17 +349,13 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     if args.ab:
-        try:
-            variant_a, variant_b = args.ab.split(",")
-        except ValueError:
-            parser.error("--ab expects two comma-separated variant names")
         print(
             f"== interleaved A/B matrix ({variant_a} vs {variant_b}) ==",
             file=sys.stderr,
         )
         report["ab"] = microbench.run_ab_matrix(
-            variant_a.strip(),
-            variant_b.strip(),
+            variant_a,
+            variant_b,
             num_events,
             config.get("budget", 1_500),
             config.get("num_vertices", 400),
@@ -360,8 +373,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         report["ab_dense"] = microbench.run_ab_dense(
-            variant_a.strip(),
-            variant_b.strip(),
+            variant_a,
+            variant_b,
             dense_cfg["num_fill"],
             dense_cfg["num_events"],
             dense_cfg["budget"],

@@ -418,12 +418,13 @@ class EventBlock:
         """The canonical edge tuples, one per event."""
         return list(zip(self.u.tolist(), self.v.tolist()))
 
-    def concat(self, other: "EventBlock") -> "EventBlock":
-        """Return the concatenation of this block and ``other``."""
+    def concat(self, *others: "EventBlock") -> "EventBlock":
+        """Return this block followed by each of ``others``, in order."""
+        blocks = (self, *others)
         return EventBlock(
-            np.concatenate([self.is_insert, other.is_insert]),
-            np.concatenate([self.u, other.u]),
-            np.concatenate([self.v, other.v]),
+            np.concatenate([block.is_insert for block in blocks]),
+            np.concatenate([block.u for block in blocks]),
+            np.concatenate([block.v for block in blocks]),
             canonical=True,
         )
 

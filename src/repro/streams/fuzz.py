@@ -188,8 +188,13 @@ class FuzzPlan:
             algorithm="WSD-U", budget=64, seed=self.seed % 997
         )
         # Both write paths ride along: the acknowledged control-op
-        # ingest and the fire-and-forget columnar block.
-        block = EventBlock.from_events(events[24:])
+        # ingest and the fire-and-forget columnar blocks, as three
+        # consecutive BLOCK frames so the server's run of buffered
+        # frames is in play.
+        blocks = [
+            EventBlock.from_events(events[start:start + 8])
+            for start in (24, 32, 40)
+        ]
         return [
             frame_bytes(FRAME_HELLO, hello_payload("client")),
             frame_bytes(
@@ -205,7 +210,7 @@ class FuzzPlan:
                 ),
             ),
             frame_bytes(FRAME_CONTROL, encode(("ingest", 2, events[:24]))),
-            frame_bytes(FRAME_BLOCK, block.to_bytes()),
+            *(frame_bytes(FRAME_BLOCK, block.to_bytes()) for block in blocks),
             frame_bytes(FRAME_CONTROL, encode(("query", 3, "estimate", {}))),
         ]
 

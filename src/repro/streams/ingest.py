@@ -16,13 +16,16 @@ One wire format serves the whole library: the ``RSX1`` frames of
    :class:`~repro.graph.stream.EventBlock` payloads for the selected
    stream — the fire-and-forget fast path: no per-block acknowledgement,
    so ingestion pipelines; an ingest failure is reported once (token
-   ``None``) and drops the connection, and the kernel socket buffer is
-   the backpressure bound (the server reads and applies one frame at a
-   time per connection, exactly like the shard host agent). The one
-   exception is WAL overload: a block rejected by the session's hard
-   limit is reported out-of-band (``("overloaded", None, info)``) and
-   the connection stays up — the stream state is untouched, so there
-   is nothing fatal about the rejection;
+   ``None``) and drops the connection. The server applies a BLOCK frame
+   together with every further BLOCK frame already buffered in full
+   behind it, up to 8,192 events, as one session batch (chunk
+   boundaries never change results); any other frame ends the run, so
+   a query sees every block sent before it. The backpressure bound is
+   the socket buffers plus one such run. The one exception is WAL
+   overload: a block rejected by the session's hard limit is reported
+   out-of-band (``("overloaded", None, info)``), once per shed frame,
+   and the connection stays up — the stream state is untouched, so
+   there is nothing fatal about the rejection;
 4. HEARTBEAT frames for liveness: a client with a heartbeat interval
    pings between requests and the server echoes, so the server's idle
    deadline (``ServiceConfig.heartbeat_timeout``) reaps only peers
@@ -99,48 +102,159 @@ from repro.utils.text import clip_text
 __all__ = ["StreamIngestServer", "ServiceClient"]
 
 
-async def _read_frame_async(
-    reader: asyncio.StreamReader,
-    idle_timeout: float | None = None,
-    max_frame_bytes: int | None = None,
-):
-    """One frame from an asyncio stream; ``None`` on clean close.
+#: Most events one run of buffered BLOCK frames may carry, so a run
+#: holds the session lock no longer than one 8,192-event frame does.
+_RUN_MAX_EVENTS = 8192
 
-    ``idle_timeout`` bounds the wait for the *next* frame: a peer that
-    sends nothing at all (not even a HEARTBEAT) for the whole window
-    raises :class:`~repro.errors.PeerLostError`. A frame that has
-    started arriving is read to completion without the bound.
+#: Bytes asked of the ``StreamReader`` per read: more than it buffers
+#: before it pauses the socket, so one read takes all it holds.
+_READ_BYTES = 256 * 1024
+
+
+class _FrameReader:
+    """One connection's frames, cut from a per-connection byte buffer.
+
+    Bytes arrive through the public :meth:`asyncio.StreamReader.read`,
+    which hands over everything the stream has buffered, so the frames
+    that already arrived in full are visible here without waiting for
+    another byte (:meth:`buffered_blocks`).
+
+    ``idle_timeout`` bounds the wait for the *next* frame to start: a
+    peer that sends nothing at all (not even a HEARTBEAT) for the whole
+    window raises :class:`~repro.errors.PeerLostError`. A frame that has
+    started arriving is read to completion without the bound. The frame
+    cap (``max_frame_bytes``) is checked on header bytes, before the
+    payload is read.
     """
-    try:
-        if idle_timeout is None:
-            header = await reader.readexactly(FRAME_HEADER_SIZE)
+
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        idle_timeout: float | None = None,
+        max_frame_bytes: int | None = None,
+    ) -> None:
+        self._reader = reader
+        self._idle_timeout = idle_timeout
+        self._max_frame_bytes = max_frame_bytes
+        self._buffer = bytearray()
+        #: Offset of the first buffered byte not yet handed out.
+        self._start = 0
+
+    def _pending(self) -> int:
+        return len(self._buffer) - self._start
+
+    def _header(self) -> tuple[int, int]:
+        start = self._start
+        return parse_frame_header(
+            bytes(self._buffer[start:start + FRAME_HEADER_SIZE]),
+            self._max_frame_bytes,
+        )
+
+    async def _fill(self) -> bool:
+        """Append the stream's next bytes; ``False`` at end of stream."""
+        del self._buffer[: self._start]
+        self._start = 0
+        read = self._reader.read(_READ_BYTES)
+        if self._buffer or self._idle_timeout is None:
+            chunk = await read
         else:
-            header = await asyncio.wait_for(
-                reader.readexactly(FRAME_HEADER_SIZE), idle_timeout
-            )
-    except asyncio.TimeoutError:
-        raise PeerLostError(
-            "peer sent no frame (not even a heartbeat) for "
-            f"{idle_timeout}s"
-        ) from None
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed mid-header ({len(exc.partial)} of "
-            f"{FRAME_HEADER_SIZE} bytes)"
-        ) from exc
-    kind, length = parse_frame_header(header, max_frame_bytes)
-    if not length:
-        return kind, b""
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} of "
-            f"{length} payload bytes)"
-        ) from exc
-    return kind, payload
+            try:
+                chunk = await asyncio.wait_for(read, self._idle_timeout)
+            except asyncio.TimeoutError:
+                raise PeerLostError(
+                    "peer sent no frame (not even a heartbeat) for "
+                    f"{self._idle_timeout}s"
+                ) from None
+        self._buffer += chunk
+        return bool(chunk)
+
+    async def read_frame(self) -> tuple[int, bytes] | None:
+        """The next frame, reading as needed; ``None`` on clean close."""
+        while self._pending() < FRAME_HEADER_SIZE:
+            if not await self._fill():
+                if not self._buffer:
+                    return None
+                raise ProtocolError(
+                    f"connection closed mid-header ({len(self._buffer)} "
+                    f"of {FRAME_HEADER_SIZE} bytes)"
+                )
+        kind, length = self._header()
+        while self._pending() < FRAME_HEADER_SIZE + length:
+            if not await self._fill():
+                raise ProtocolError(
+                    "connection closed mid-frame "
+                    f"({self._pending() - FRAME_HEADER_SIZE} of {length} "
+                    "payload bytes)"
+                )
+        begin = self._start + FRAME_HEADER_SIZE
+        self._start = begin + length
+        return kind, bytes(self._buffer[begin:self._start])
+
+    def buffered_blocks(
+        self, first: EventBlock, auth: FrameAuth | None = None
+    ) -> list[EventBlock]:
+        """``first`` plus the BLOCK frames already whole in the buffer.
+
+        Takes frames in order while each is a complete, verified,
+        well-formed BLOCK frame and the run stays within
+        :data:`_RUN_MAX_EVENTS` (a first block above the cap runs
+        alone). The first frame that is anything else — CONTROL,
+        HEARTBEAT, partial, over the cap, or malformed — stays in the
+        buffer for :meth:`read_frame`, so queries see every block sent
+        before them and a bad frame fails exactly as it would alone.
+        Never waits for bytes.
+        """
+        run = [first]
+        room = _RUN_MAX_EVENTS - len(first)
+        tag_bytes = 0 if auth is None else FrameAuth.TAG_BYTES
+        while self._pending() >= FRAME_HEADER_SIZE:
+            try:
+                kind, length = self._header()
+            except ProtocolError:
+                break
+            if (
+                kind != FRAME_BLOCK
+                or self._pending() < FRAME_HEADER_SIZE + length
+                or length - tag_bytes > EventBlock.byte_size(room)
+            ):
+                break
+            begin = self._start + FRAME_HEADER_SIZE
+            payload = bytes(self._buffer[begin:begin + length])
+            try:
+                if auth is not None:
+                    payload = auth.verify(kind, payload)
+                block = block_from_frame(payload)
+            except ProtocolError:
+                break
+            self._start = begin + length
+            run.append(block)
+            room -= len(block)
+        return run
+
+
+def _ingest_run(
+    session, run: list[EventBlock]
+) -> list[ServiceOverloadedError]:
+    """Apply one run of BLOCK frames; return one rejection per shed frame.
+
+    Chunk boundaries never change results, so the run goes in as one
+    concatenated block. If the WAL hard limit sheds it (atomically:
+    nothing applied), the frames are applied one at a time instead, so
+    exactly the frames that fit land, as if each had arrived alone.
+    """
+    if len(run) > 1:
+        try:
+            session.ingest(run[0].concat(*run[1:]))
+            return []
+        except ServiceOverloadedError:
+            pass
+    shed = []
+    for block in run:
+        try:
+            session.ingest(block)
+        except ServiceOverloadedError as exc:
+            shed.append(exc)
+    return shed
 
 
 def _check_hello(frame, auth: FrameAuth | None = None) -> dict:
@@ -272,12 +386,12 @@ class StreamIngestServer:
         loop = asyncio.get_running_loop()
         session = None
         auth: FrameAuth | None = None
+        frames = _FrameReader(
+            reader, self._idle_timeout, self._max_frame_bytes
+        )
         try:
             client_meta = _check_hello(
-                await _read_frame_async(
-                    reader, self._idle_timeout, self._max_frame_bytes
-                ),
-                self._static_auth,
+                await frames.read_frame(), self._static_auth
             )
             if self._static_auth is None:
                 writer.write(
@@ -297,9 +411,7 @@ class StreamIngestServer:
                 auth = self._static_auth.derived(client_meta["nonce"], nonce)
             await writer.drain()
             while True:
-                frame = await _read_frame_async(
-                    reader, self._idle_timeout, self._max_frame_bytes
-                )
+                frame = await frames.read_frame()
                 if frame is None:
                     return
                 kind, payload = frame
@@ -317,27 +429,32 @@ class StreamIngestServer:
                             "received an event block before create/attach "
                             "selected a stream"
                         )
-                    block = block_from_frame(payload)
-                    try:
-                        await loop.run_in_executor(
-                            None, session.ingest, block
-                        )
-                    except ServiceOverloadedError as exc:
-                        # Backpressure is not connection-fatal: the
-                        # block was atomically rejected (no partial
-                        # state), so report out-of-band (token None)
-                        # and keep serving — the client re-sends.
-                        writer.write(
-                            _control_reply(
-                                "overloaded",
-                                None,
-                                {
-                                    "retry_after": exc.retry_after,
-                                    "message": str(exc),
-                                },
-                                auth,
+                    # One session batch for this frame and every BLOCK
+                    # frame already buffered behind it.
+                    run = frames.buffered_blocks(
+                        block_from_frame(payload), auth
+                    )
+                    shed = await loop.run_in_executor(
+                        None, _ingest_run, session, run
+                    )
+                    if shed:
+                        # Backpressure is not connection-fatal: each
+                        # shed block was atomically rejected (no partial
+                        # state), so report out-of-band (token None),
+                        # once per frame, and keep serving — the client
+                        # re-sends.
+                        for exc in shed:
+                            writer.write(
+                                _control_reply(
+                                    "overloaded",
+                                    None,
+                                    {
+                                        "retry_after": exc.retry_after,
+                                        "message": str(exc),
+                                    },
+                                    auth,
+                                )
                             )
-                        )
                         await writer.drain()
                     continue
                 if kind != FRAME_CONTROL:
@@ -373,8 +490,8 @@ class StreamIngestServer:
                             "config": session.config.to_dict(),
                         }
                     elif op == "ingest":
-                        # The acknowledged slow path: pickled event
-                        # lists, for streams whose labels have no
+                        # The acknowledged slow path: RSX2-encoded
+                        # event lists, for streams whose labels have no
                         # columnar encoding.
                         if session is None:
                             raise ServiceError(
@@ -787,16 +904,19 @@ class ServiceClient:
         self._send_frame(FRAME_BLOCK, block.to_bytes())
 
     def send_events(self, events) -> None:
-        """Push an event batch, columnar when the labels allow it."""
-        events = list(events)
-        if not events:
-            return
-        try:
-            block = EventBlock.from_events(events)
-        except TypeError:
-            self._control("ingest", events)
-            return
-        self.send_block(block)
+        """Push an event batch, columnar when the labels allow it.
+
+        An :class:`EventBlock` goes out as it is, like :meth:`send_block`.
+        """
+        if not isinstance(events, EventBlock):
+            events = list(events)
+            try:
+                events = EventBlock.from_events(events)
+            except TypeError:
+                self._control("ingest", events)
+                return
+        if len(events):
+            self.send_block(events)
 
     def ingest(self, events) -> int:
         """Push an event batch and wait for the ack (no pipelining).

@@ -92,6 +92,11 @@ class TestContainer:
         joined = block[:2].concat(block[2:])
         assert joined == block
 
+    def test_concat_is_variadic(self):
+        block = EventBlock.from_events(sample_events())
+        assert block[:1].concat(block[1:2], block[2:4], block[4:]) == block
+        assert block[:0].concat(block[:0]) == block[:0]
+
     def test_columns_are_plain_lists(self):
         block = EventBlock.from_events(sample_events())
         ops, us, vs = block.columns()

@@ -8,16 +8,25 @@ of the happy path (kill a worker, kill the service, interleave readers)
 followed by that bit-identity assertion.
 """
 
+import contextlib
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro
 from repro import build_stream
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import (
+    ConfigurationError,
+    ServiceError,
+    ServiceOverloadedError,
+)
 from repro.graph.generators import powerlaw_cluster
+from repro.graph.stream import EventBlock
+from repro.streams.codec import decode, encode
 from repro.streams.executor import ExecutorOptions
 from repro.streams.ingest import ServiceClient
 from repro.streams.service import (
@@ -25,6 +34,19 @@ from repro.streams.service import (
     ServiceConfig,
     StreamConfig,
     StreamSession,
+)
+from repro.streams.transport import (
+    FRAME_BLOCK,
+    FRAME_CONTROL,
+    FRAME_HEADER_SIZE,
+    FRAME_HELLO,
+    FrameAuth,
+    expect_hello,
+    frame_bytes,
+    hello_payload,
+    parse_address,
+    read_frame,
+    write_frame,
 )
 
 
@@ -145,6 +167,259 @@ class TestServiceSocket:
             with pytest.raises(ServiceError, match="before create/attach"):
                 client.estimate()
             client.close()
+
+
+@pytest.fixture(scope="module")
+def block_stream():
+    edges = powerlaw_cluster(5000, m=5, triangle_probability=0.6, rng=0)
+    return build_stream(edges, "light", beta=0.2, rng=1, columnar=True)
+
+
+def frames_of(block, size, count):
+    return [block[i * size:(i + 1) * size] for i in range(count)]
+
+
+class RawConnection:
+    """A hand-driven service connection: bytes go out exactly as
+    written, and every reply frame is read back, out-of-band included."""
+
+    def __init__(self, address, auth_key=None):
+        host, port = parse_address(address)
+        self.sock = socket.create_connection((host, port), timeout=5)
+        self.auth = None
+        self.token = 0
+        if auth_key is None:
+            write_frame(self.sock, FRAME_HELLO, hello_payload("client"))
+            expect_hello(self.sock, peer="service")
+        else:
+            static = FrameAuth(auth_key)
+            nonce = FrameAuth.new_nonce()
+            write_frame(
+                self.sock,
+                FRAME_HELLO,
+                hello_payload("client", nonce=nonce),
+                static,
+            )
+            meta = expect_hello(self.sock, peer="service", auth=static)
+            self.auth = static.derived(nonce, meta["nonce"])
+
+    def block(self, block):
+        return frame_bytes(FRAME_BLOCK, block.to_bytes(), self.auth)
+
+    def control(self, op, *rest):
+        self.token += 1
+        message = encode((op, self.token, *rest))
+        return frame_bytes(FRAME_CONTROL, message, self.auth)
+
+    def replies(self):
+        """Every reply up to and including the last request's own."""
+        replies = []
+        while not replies or replies[-1][1] != self.token:
+            _kind, payload = self._read()
+            replies.append(decode(payload))
+        return replies
+
+    def request(self, op, *rest):
+        self.sock.sendall(self.control(op, *rest))
+        return self.replies()
+
+    def replies_until_close(self):
+        replies = []
+        while (frame := self._read()) is not None:
+            replies.append(decode(frame[1]))
+        return replies
+
+    def _read(self):
+        # A deadline, so a server that never answers fails the test.
+        return read_frame(
+            self.sock, auth=self.auth, deadline=time.monotonic() + 30
+        )
+
+    def close(self):
+        self.sock.close()
+
+
+class IngestRecorder:
+    """Sizes of every ``StreamSession.ingest`` call; :meth:`held`
+    stalls them so the frames written meanwhile pile up server-side."""
+
+    def __init__(self):
+        self.sizes = []
+        self.open = threading.Event()
+        self.open.set()
+
+    @contextlib.contextmanager
+    def held(self):
+        self.open.clear()
+        try:
+            yield
+            time.sleep(0.2)  # the written bytes reach the server's buffer
+        finally:
+            self.open.set()
+
+
+@pytest.fixture()
+def recorder(monkeypatch):
+    recorder = IngestRecorder()
+    real_ingest = StreamSession.ingest
+
+    def ingest(session, events):
+        recorder.open.wait(10)
+        recorder.sizes.append(len(events))
+        return real_ingest(session, events)
+
+    monkeypatch.setattr(StreamSession, "ingest", ingest)
+    return recorder
+
+
+class TestCoalescedIngest:
+    """BLOCK frames already buffered behind one another land as one
+    session batch, and nothing a client can observe changes: estimates,
+    the order against queries, per-frame overload, per-frame errors."""
+
+    def test_buffered_frames_land_in_fewer_batches(
+        self, block_stream, recorder
+    ):
+        config = StreamConfig(budget=600, seed=21)
+        blocks = frames_of(block_stream, 128, 200)
+        with repro.open_stream(config, name="runs") as session:
+            for block in blocks:
+                session.ingest(block)
+            reference = session.queries.estimate()
+        recorder.sizes.clear()
+        with CountingService(ServiceConfig(checkpoint_interval=None)) as service:
+            conn = RawConnection(service.address)
+            conn.request("create", "runs", config.to_dict(), None)
+            conn.sock.sendall(b"".join(conn.block(b) for b in blocks))
+            assert conn.request("query", "time", {})[-1][2] == 200 * 128
+            assert conn.request("query", "estimate", {})[-1][2] == reference
+            conn.close()
+        assert sum(recorder.sizes) == 200 * 128
+        assert len(recorder.sizes) < len(blocks)
+
+    def test_a_query_ends_the_run(self, block_stream, recorder):
+        config = StreamConfig(budget=300, seed=22)
+        blocks = frames_of(block_stream, 128, 3)
+        reference = serial_reference(blocks[0].concat(blocks[1]), config, "q")
+        with CountingService(ServiceConfig(checkpoint_interval=None)) as service:
+            conn = RawConnection(service.address)
+            conn.request("create", "q", config.to_dict(), None)
+            with recorder.held():
+                conn.sock.sendall(
+                    conn.block(blocks[0])
+                    + conn.block(blocks[1])
+                    + conn.control("query", "stats", {})
+                    + conn.block(blocks[2])
+                )
+            (reply,) = conn.replies()
+            assert reply[2]["clock"] == 256
+            assert reply[2]["estimate"] == reference
+            assert conn.request("query", "time", {})[-1][2] == 384
+            conn.close()
+
+    def test_hard_limit_inside_a_run_sheds_per_frame(
+        self, block_stream, recorder
+    ):
+        config = StreamConfig(budget=300, seed=23)
+        blocks = frames_of(block_stream, 128, 10)
+        # Six frames fit under the limit; the last four are shed.
+        limit = 6 * 128 + 50
+        reference = serial_reference(
+            blocks[0].concat(*blocks[1:6]), config, "shed"
+        )
+        with CountingService(
+            ServiceConfig(checkpoint_interval=None, wal_hard_limit_events=limit)
+        ) as service:
+            conn = RawConnection(service.address)
+            conn.request("create", "shed", config.to_dict(), None)
+            with recorder.held():
+                conn.sock.sendall(b"".join(conn.block(b) for b in blocks))
+            replies = conn.request("query", "time", {})
+            shed = [r for r in replies if r[0] == "overloaded"]
+            assert len(shed) == 4
+            assert all(r[1] is None and "hard limit" in r[2]["message"]
+                       for r in shed)
+            assert replies[-1] == ("query", conn.token, 6 * 128)
+            assert conn.request("query", "estimate", {})[-1][2] == reference
+            conn.close()
+        # The run was tried whole, then frame by frame.
+        assert max(recorder.sizes) > 128
+
+    def test_client_raises_after_a_shed_run(self, block_stream, recorder):
+        config = StreamConfig(budget=300, seed=24)
+        blocks = frames_of(block_stream, 128, 10)
+        with CountingService(
+            ServiceConfig(
+                checkpoint_interval=None, wal_hard_limit_events=6 * 128 + 50
+            )
+        ) as service:
+            with ServiceClient(service.address) as client:
+                client.create_stream("retry", config)
+                with recorder.held():
+                    for block in blocks:
+                        client.send_block(block)
+                with pytest.raises(ServiceOverloadedError, match="hard limit"):
+                    client.time()
+                assert client.time() == 6 * 128
+
+    @pytest.mark.parametrize("fault", ["bad_magic", "length", "hmac"])
+    def test_bad_frame_mid_run_applies_the_frames_before_it(
+        self, block_stream, recorder, fault
+    ):
+        key = "mid-run-key" if fault == "hmac" else None
+        config = StreamConfig(budget=300, seed=25)
+        blocks = frames_of(block_stream, 128, 6)
+        reference = serial_reference(
+            blocks[0].concat(*blocks[1:3]), config, "bad"
+        )
+        with CountingService(
+            ServiceConfig(checkpoint_interval=None, auth_key=key)
+        ) as service:
+            conn = RawConnection(service.address, key)
+            conn.request("create", "bad", config.to_dict(), None)
+            wire = [conn.block(b) for b in blocks]
+            if fault == "bad_magic":
+                wire[3] = b"EVIL" + wire[3][4:]
+                expected = "bad frame magic"
+            elif fault == "length":
+                # Two stray bytes, declared by the header, behind the block.
+                header = bytearray(wire[3][:FRAME_HEADER_SIZE])
+                header[8:16] = (len(wire[3]) - FRAME_HEADER_SIZE + 2).to_bytes(
+                    8, "little"
+                )
+                wire[3] = bytes(header) + wire[3][FRAME_HEADER_SIZE:] + b"\0\0"
+                expected = "length mismatch"
+            else:
+                wire[3] = wire[3][:-1] + bytes([wire[3][-1] ^ 1])
+                expected = "HMAC verification failed"
+            with recorder.held():
+                conn.sock.sendall(b"".join(wire))
+            replies = conn.replies_until_close()
+            conn.close()
+            assert [r[:2] for r in replies] == [("error", None)]
+            assert expected in replies[0][2]
+            with ServiceClient(service.address, auth_key=key) as other:
+                other.attach("bad")
+                assert other.time() == 3 * 128
+                assert other.estimate() == reference
+
+    def test_send_events_passes_a_block_through(
+        self, block_stream, monkeypatch
+    ):
+        config = StreamConfig(budget=300, seed=26)
+        block = block_stream[:1000]
+        reference = serial_reference(block, config, "as-is")
+
+        def refuse(events):
+            raise AssertionError("send_events re-encoded an EventBlock")
+
+        with CountingService(ServiceConfig(checkpoint_interval=None)) as service:
+            with ServiceClient(service.address) as client:
+                client.create_stream("as-is", config)
+                monkeypatch.setattr(EventBlock, "from_events", refuse)
+                client.send_events(block)
+                assert client.time() == len(block)
+                assert client.estimate() == reference
 
 
 class TestDurability:
