@@ -76,8 +76,7 @@ def run_supervised(events, config, plan: FaultPlan | None) -> dict:
         session = StreamSession(
             STREAM_NAME,
             config,
-            options=ExecutorOptions(backend="process"),
-            recovery_policy=POLICY,
+            options=ExecutorOptions(backend="process", recovery_policy=POLICY),
         )
         try:
             if plan is not None:

@@ -17,7 +17,7 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run_all.py [--quick]
         [--skip-tests] [--repeats N] [--shards N]
         [--backend serial|process|both|remote]
-        [--transport auto|shm|queue] [--hosts N]
+        [--hosts N]
         [--min-process-ratio X] [--min-remote-ratio X] [--ab OLD,NEW]
 
 ``--quick`` runs a seconds-scale smoke pass (fewer events, 1 repeat);
@@ -101,7 +101,6 @@ def run_sharded_cells(
     seed: int,
     shards: int,
     backends: tuple[str, ...],
-    transport: str = "auto",
     repeats: int = 3,
     hosts: tuple[str, ...] = (),
     recovery=None,
@@ -116,8 +115,8 @@ def run_sharded_cells(
     stream is fed columnar (one ``EventBlock``), which is the intended
     production shape: the serial backend partitions it vectorised, the
     process backend ships the sub-blocks through the shared-memory
-    transport (per ``transport``), and the remote backend ships them as
-    TCP frames to the shard host agents in ``hosts``.
+    transport, and the remote backend ships them as TCP frames to the
+    shard host agents in ``hosts``.
     """
     from repro.graph.stream import EventBlock
     from repro.samplers.wsd import WSD
@@ -145,7 +144,6 @@ def run_sharded_cells(
                 mode="partition",
                 options=ExecutorOptions(
                     backend=backend,
-                    transport=transport,
                     hosts=hosts if backend == "remote" else (),
                     recovery_policy=recovery,
                     heartbeat_interval=(
@@ -193,7 +191,6 @@ def run_sharded_cells(
         "mode": "partition",
         "shards": shards,
         "shard_budget": shard_budget,
-        "transport": transport,
         "num_hosts": len(hosts) or None,
         "cells": cells,
         "parity": len(estimates) == 1,
@@ -232,10 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         help="executor backend(s) for the sharded cell; 'both' asserts "
              "serial-vs-process estimate parity, 'remote' asserts "
              "serial-vs-remote parity across --hosts local host agents",
-    )
-    parser.add_argument(
-        "--transport", choices=("auto", "shm", "queue"), default="auto",
-        help="worker transport for the sharded cell's process backend",
     )
     parser.add_argument(
         "--hosts", type=int, default=2,
@@ -495,7 +488,6 @@ def main(argv: list[str] | None = None) -> int:
                 config.get("seed", 2023),
                 args.shards,
                 backends,
-                transport=args.transport,
                 repeats=repeats,
                 hosts=host_addresses,
                 recovery=(

@@ -27,7 +27,6 @@ from repro.graph.orderings import order_edges
 from repro.graph.stream import EdgeStream
 from repro.streams.executor import ExecutorOptions
 from repro.streams.scenarios import build_stream
-from repro.streams.supervisor import RecoveryPolicy
 from repro.utils.rng import RngFactory
 
 __all__ = ["ScenarioConfig", "ExperimentConfig", "MASSIVE", "LIGHT", "INSERTION_ONLY"]
@@ -104,47 +103,11 @@ class ExperimentConfig:
     #: each event to one replica (throughput scale-out), ``"broadcast"``
     #: replicates the stream (variance scale-out).
     shard_mode: str = "partition"
-    #: Executor backend when ``shards > 1``: ``"serial"`` drives the
-    #: replicas inline, ``"process"`` runs each replica in a worker
-    #: process, ``"remote"`` leases each replica onto a shard host
-    #: agent from :attr:`executor_hosts` (all result-identical under
-    #: fixed seeds; see
-    #: :class:`~repro.streams.executor.ShardedStreamExecutor`).
-    executor_backend: str = "serial"
-    #: Worker transport for the process backend: ``"auto"`` ships
-    #: columnar event blocks through shared memory (queue fallback per
-    #: chunk), ``"shm"`` forces shared memory, ``"queue"`` forces the
-    #: legacy pickled path. Result-identical either way.
-    executor_transport: str = "auto"
-    #: Shard host agent addresses (``"host:port"``) for the remote
-    #: backend; required for, and only valid with,
-    #: ``executor_backend="remote"``.
-    executor_hosts: tuple[str, ...] = ()
-    #: Liveness-poll granularity for blocked worker waits; ``None``
-    #: keeps the library default (0.2s).
-    executor_poll_seconds: float | None = None
-    #: Liveness-poll granularity for shared-memory slot waits; ``None``
-    #: keeps the library default (0.5ms).
-    executor_slot_poll_seconds: float | None = None
-    #: Timeout for a clean worker stop at teardown; ``None`` keeps the
-    #: library default (10s).
-    executor_stop_timeout: float | None = None
-    #: Supervised-recovery policy for crashed shard workers
-    #: (:class:`~repro.streams.supervisor.RecoveryPolicy`); ``None``
-    #: leaves crash handling to the caller.
-    executor_recovery: "RecoveryPolicy | None" = None
-    #: Seconds between liveness heartbeats on remote shard transports;
-    #: ``None`` sends none (the pre-liveness behaviour).
-    executor_heartbeat_interval: float | None = None
-    #: Idle bound advertised to hosted peers (host agents drop leases
-    #: whose coordinator goes silent this long); ``None`` is patient.
-    executor_heartbeat_timeout: float | None = None
-    #: The execution knobs as one
-    #: :class:`~repro.streams.executor.ExecutorOptions` value — the
-    #: preferred spelling. The flat ``executor_*`` fields above are
-    #: kept for backwards compatibility and may be deprecated in a
-    #: future release; setting both is rejected by :meth:`validate`.
-    executor: ExecutorOptions | None = None
+    #: How the replicas run when ``shards > 1``
+    #: (:class:`~repro.streams.executor.ExecutorOptions`): backend,
+    #: hosts, chunk sizing, recovery policy, ... — all result-identical
+    #: under fixed seeds.
+    executor: ExecutorOptions = field(default_factory=ExecutorOptions)
 
     def validate(self) -> None:
         self.scenario.validate()
@@ -163,108 +126,16 @@ class ExperimentConfig:
                 "shard_mode must be 'partition' or 'broadcast', got "
                 f"{self.shard_mode!r}"
             )
-        if self.executor_backend not in {"serial", "process", "remote"}:
-            raise ConfigurationError(
-                "executor_backend must be 'serial', 'process' or "
-                f"'remote', got {self.executor_backend!r}"
-            )
-        if self.executor_transport not in {"auto", "shm", "queue"}:
-            raise ConfigurationError(
-                "executor_transport must be 'auto', 'shm' or 'queue', "
-                f"got {self.executor_transport!r}"
-            )
-        if self.executor is not None:
-            flat_overrides = [
-                name
-                for name, value, default in (
-                    ("executor_backend", self.executor_backend, "serial"),
-                    ("executor_transport", self.executor_transport, "auto"),
-                    ("executor_hosts", self.executor_hosts, ()),
-                    ("executor_poll_seconds", self.executor_poll_seconds, None),
-                    (
-                        "executor_slot_poll_seconds",
-                        self.executor_slot_poll_seconds,
-                        None,
-                    ),
-                    ("executor_stop_timeout", self.executor_stop_timeout, None),
-                    ("executor_recovery", self.executor_recovery, None),
-                    (
-                        "executor_heartbeat_interval",
-                        self.executor_heartbeat_interval,
-                        None,
-                    ),
-                    (
-                        "executor_heartbeat_timeout",
-                        self.executor_heartbeat_timeout,
-                        None,
-                    ),
-                )
-                if value != default
-            ]
-            if flat_overrides:
-                raise ConfigurationError(
-                    "set execution knobs either through executor= or the "
-                    "flat executor_* fields, not both; flat fields also "
-                    f"set: {flat_overrides}"
-                )
-            self.executor.validate()
-            if self.executor.backend != "serial" and self.shards == 1:
-                raise ConfigurationError(
-                    f"executor backend {self.executor.backend!r} requires "
-                    "shards > 1 (an unsharded cell runs a single "
-                    "in-process sampler)"
-                )
-        if self.executor_backend != "serial" and self.shards == 1:
+        self.executor.validate()
+        if self.executor.backend != "serial" and self.shards == 1:
             # The unsharded trial path runs a bare in-process sampler;
             # silently ignoring the requested backend would be worse
             # than refusing.
             raise ConfigurationError(
-                f"executor_backend={self.executor_backend!r} requires "
+                f"executor backend {self.executor.backend!r} requires "
                 "shards > 1 (an unsharded cell runs a single in-process "
                 "sampler)"
             )
-        if self.executor_backend == "remote" and not self.executor_hosts:
-            raise ConfigurationError(
-                "executor_backend='remote' requires executor_hosts "
-                "(shard host agent addresses)"
-            )
-        if self.executor_hosts and self.executor_backend != "remote":
-            raise ConfigurationError(
-                "executor_hosts is only valid with "
-                "executor_backend='remote'"
-            )
-        for knob, value in (
-            ("executor_poll_seconds", self.executor_poll_seconds),
-            ("executor_slot_poll_seconds", self.executor_slot_poll_seconds),
-            ("executor_stop_timeout", self.executor_stop_timeout),
-            ("executor_heartbeat_interval", self.executor_heartbeat_interval),
-            ("executor_heartbeat_timeout", self.executor_heartbeat_timeout),
-        ):
-            if value is not None and not value > 0:
-                raise ConfigurationError(f"{knob} must be > 0, got {value!r}")
-        if self.executor_recovery is not None:
-            self.executor_recovery.validate()
-
-    def executor_options(self) -> ExecutorOptions:
-        """The effective execution knobs as one value object.
-
-        Returns :attr:`executor` when set; otherwise bundles the flat
-        ``executor_*`` fields, so the runner consumes one form either
-        way.
-        """
-        if self.executor is not None:
-            return self.executor
-        return ExecutorOptions(
-            backend=self.executor_backend,
-            transport=self.executor_transport,
-            hosts=tuple(self.executor_hosts),
-            poll_seconds=self.executor_poll_seconds,
-            slot_poll_seconds=self.executor_slot_poll_seconds,
-            stop_timeout=self.executor_stop_timeout,
-            recovery_policy=self.executor_recovery,
-            heartbeat_interval=self.executor_heartbeat_interval,
-            heartbeat_timeout=self.executor_heartbeat_timeout,
-        )
 
     def with_changes(self, **kwargs) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""

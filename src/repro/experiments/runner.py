@@ -151,59 +151,6 @@ def run_sampler_trial(
     return TrialResult(tuple(estimates), watch.elapsed, truth.final_truth)
 
 
-def _resolve_executor_options(
-    executor: ExecutorOptions | None,
-    executor_backend: str,
-    executor_transport: str,
-    executor_hosts: tuple[str, ...],
-    executor_poll_seconds: float | None,
-    executor_slot_poll_seconds: float | None,
-    executor_stop_timeout: float | None,
-    executor_recovery=None,
-    executor_heartbeat_interval: float | None = None,
-    executor_heartbeat_timeout: float | None = None,
-) -> ExecutorOptions:
-    """One options object from either spelling (both at once rejected)."""
-    if executor is None:
-        return ExecutorOptions(
-            backend=executor_backend,
-            transport=executor_transport,
-            hosts=tuple(executor_hosts),
-            poll_seconds=executor_poll_seconds,
-            slot_poll_seconds=executor_slot_poll_seconds,
-            stop_timeout=executor_stop_timeout,
-            recovery_policy=executor_recovery,
-            heartbeat_interval=executor_heartbeat_interval,
-            heartbeat_timeout=executor_heartbeat_timeout,
-        )
-    overridden = [
-        name
-        for name, value, default in (
-            ("executor_backend", executor_backend, "serial"),
-            ("executor_transport", executor_transport, "auto"),
-            ("executor_hosts", executor_hosts, ()),
-            ("executor_poll_seconds", executor_poll_seconds, None),
-            ("executor_slot_poll_seconds", executor_slot_poll_seconds, None),
-            ("executor_stop_timeout", executor_stop_timeout, None),
-            ("executor_recovery", executor_recovery, None),
-            (
-                "executor_heartbeat_interval",
-                executor_heartbeat_interval,
-                None,
-            ),
-            ("executor_heartbeat_timeout", executor_heartbeat_timeout, None),
-        )
-        if value != default
-    ]
-    if overridden:
-        raise ConfigurationError(
-            "pass execution knobs either through executor= or as flat "
-            f"executor_* kwargs, not both; flat kwargs also given: "
-            f"{overridden}"
-        )
-    return executor
-
-
 def make_trial_sampler(
     name: str,
     pattern: str,
@@ -214,15 +161,6 @@ def make_trial_sampler(
     temporal_aggregation: str = "max",
     shards: int = 1,
     shard_mode: str = "partition",
-    executor_backend: str = "serial",
-    executor_transport: str = "auto",
-    executor_hosts: tuple[str, ...] = (),
-    executor_poll_seconds: float | None = None,
-    executor_slot_poll_seconds: float | None = None,
-    executor_stop_timeout: float | None = None,
-    executor_recovery=None,
-    executor_heartbeat_interval: float | None = None,
-    executor_heartbeat_timeout: float | None = None,
     executor: ExecutorOptions | None = None,
 ):
     """Build one trial's consumer: a sampler, or a sharded executor.
@@ -240,10 +178,8 @@ def make_trial_sampler(
     replicas each keep the full budget, as each one samples the whole
     stream.
 
-    Execution knobs are taken from ``executor``
-    (:class:`~repro.streams.executor.ExecutorOptions`, the preferred
-    spelling) or the equivalent flat ``executor_*`` keyword arguments,
-    which are kept for backwards compatibility.
+    ``executor`` (:class:`~repro.streams.executor.ExecutorOptions`)
+    says how the replicas run; ``None`` runs them serially.
     """
     if shards == 1:
         return make_sampler(
@@ -277,18 +213,7 @@ def make_trial_sampler(
         shard_factory,
         shards,
         mode=shard_mode,
-        options=_resolve_executor_options(
-            executor,
-            executor_backend,
-            executor_transport,
-            executor_hosts,
-            executor_poll_seconds,
-            executor_slot_poll_seconds,
-            executor_stop_timeout,
-            executor_recovery,
-            executor_heartbeat_interval,
-            executor_heartbeat_timeout,
-        ),
+        options=executor,
     )
 
 
@@ -304,15 +229,6 @@ def run_algorithm(
     temporal_aggregation: str = "max",
     shards: int = 1,
     shard_mode: str = "partition",
-    executor_backend: str = "serial",
-    executor_transport: str = "auto",
-    executor_hosts: tuple[str, ...] = (),
-    executor_poll_seconds: float | None = None,
-    executor_slot_poll_seconds: float | None = None,
-    executor_stop_timeout: float | None = None,
-    executor_recovery=None,
-    executor_heartbeat_interval: float | None = None,
-    executor_heartbeat_timeout: float | None = None,
     executor: ExecutorOptions | None = None,
 ) -> AlgorithmResult:
     """Run ``trials`` independent repetitions of one algorithm."""
@@ -334,18 +250,7 @@ def run_algorithm(
             temporal_aggregation=temporal_aggregation,
             shards=shards,
             shard_mode=shard_mode,
-            executor=_resolve_executor_options(
-                executor,
-                executor_backend,
-                executor_transport,
-                executor_hosts,
-                executor_poll_seconds,
-                executor_slot_poll_seconds,
-                executor_stop_timeout,
-                executor_recovery,
-                executor_heartbeat_interval,
-                executor_heartbeat_timeout,
-            ),
+            executor=executor,
         )
         trial_result = run_sampler_trial(sampler, stream, truth)
         result.ares.append(
@@ -390,6 +295,6 @@ def run_cell(
             temporal_aggregation=temporal_aggregation,
             shards=config.shards,
             shard_mode=config.shard_mode,
-            executor=config.executor_options(),
+            executor=config.executor,
         )
     return results

@@ -23,31 +23,30 @@ Replicas are ordinary :class:`~repro.samplers.base.SubgraphCountingSampler`
 instances driven through their batched ingestion path, so every kernel
 fast loop applies shard-locally.
 
-Both modes run under either of two **backends**:
+Both modes run under any of three **backends**, chosen by
+``ExecutorOptions(backend=...)``:
 
-* ``executor_backend="serial"`` — every replica lives in this process
-  and is driven inline (the PR-2 behaviour; zero overhead, no
-  parallelism).
-* ``executor_backend="process"`` — every replica runs in its own worker
-  process (:mod:`repro.streams.workers`), fed event chunks over a
-  bounded queue so ingestion pipelines with the parent's stream
-  iteration. Replicas are still *constructed* in the parent and shipped
-  as checkpoints, so a process run consumes exactly the randomness of
-  the serial run: **under fixed seeds the two backends produce
-  identical estimates** (the load-bearing contract, tested per sampler
-  and per mode).
-* ``executor_backend="remote"`` — every replica is **leased onto a
-  shard host agent** (:mod:`repro.streams.host`) over TCP, with this
-  executor acting as the coordinator: it assigns shards to ``hosts``
-  round-robin, routes event blocks through the same deterministic
-  partitioner, maps connection loss onto
-  :class:`~repro.errors.WorkerCrashError` / :meth:`restart_shard`, and
-  supports **elastic membership** — :meth:`add_host` /
-  :meth:`drain_host` move shards between hosts by a snapshot barrier +
-  checkpoint handoff, never replaying events on surviving shards. The
-  replicas still restore from parent-shipped checkpoints and see the
-  identical event sequence, so the bit-identity contract extends to
-  serial == process == remote.
+* ``"serial"`` — every replica lives in this process and is driven
+  inline (zero overhead, no parallelism).
+* ``"process"`` — every replica runs in its own worker process
+  (:mod:`repro.streams.workers`), fed event chunks over a bounded
+  queue so ingestion pipelines with the parent's stream iteration.
+  Replicas are still *constructed* in the parent and shipped as
+  checkpoints, so a process run consumes exactly the randomness of the
+  serial run: **under fixed seeds the two backends produce identical
+  estimates** (the load-bearing contract, tested per sampler and per
+  mode).
+* ``"remote"`` — every replica is **leased onto a shard host agent**
+  (:mod:`repro.streams.host`) over TCP, with this executor acting as
+  the coordinator: it assigns shards to ``hosts`` round-robin, routes
+  event blocks through the same deterministic partitioner, maps
+  connection loss onto :class:`~repro.errors.WorkerCrashError` /
+  :meth:`restart_shard`, and supports **elastic membership** —
+  :meth:`add_host` / :meth:`drain_host` move shards between hosts by a
+  snapshot barrier + checkpoint handoff, never replaying events on
+  surviving shards. The replicas still restore from parent-shipped
+  checkpoints and see the identical event sequence, so the
+  bit-identity contract extends to serial == process == remote.
 """
 
 from __future__ import annotations
@@ -89,21 +88,56 @@ _BACKENDS = ("serial", "process", "remote")
 #: Backends whose replicas live behind ShardWorker handles.
 _WORKER_BACKENDS = ("process", "remote")
 
-#: Worker transports for the process backend.
-_TRANSPORTS = ("auto", "shm", "queue")
-
 
 @dataclass(frozen=True)
 class ExecutorOptions:
     """How a :class:`ShardedStreamExecutor` runs its replicas.
 
-    One value object for every knob that is about *where and how* the
-    replicas execute — as opposed to *what* they compute (the sampler
-    factory, shard count, mode, and routing key, which stay positional
-    on the executor). Pass it as ``ShardedStreamExecutor(...,
-    options=...)`` or ``ExperimentConfig(executor=...)``; the semantics
-    of each field are documented on the executor constructor, whose
-    flat keyword arguments these mirror.
+    The one carrier for every knob about *where and how* the replicas
+    execute — as opposed to *what* they compute (the sampler factory,
+    shard count, mode and routing key, which stay positional on the
+    executor). Pass it as ``ShardedStreamExecutor(..., options=...)``,
+    ``ExperimentConfig(executor=...)``, ``ServiceConfig(executor=...)``
+    or ``StreamSession(..., options=...)``. No field changes an
+    estimate: under fixed seeds every backend and setting is
+    bit-identical.
+
+    Attributes:
+        backend: ``"serial"`` (inline replicas), ``"process"`` (one
+            worker process per replica, launched lazily on first
+            ingestion; replicas must be checkpointable and their weight
+            functions picklable) or ``"remote"`` (replicas leased onto
+            shard host agents).
+        hosts: shard host agent addresses (``"host:port"``, no
+            duplicates) for the remote backend; shards are leased
+            across them round-robin at launch (routing stays
+            ``hash % num_shards`` — membership changes move replicas
+            between hosts, never re-route events). Required for, and
+            only valid with, ``backend="remote"``.
+        chunk_size: events per dispatched chunk on the worker backends.
+            Chunk boundaries never change results, so this is purely a
+            latency/throughput knob: the default (8192, one
+            shared-memory slot per chunk) favours throughput; lower it
+            when estimate reads must observe ingestion promptly.
+        queue_depth: per-worker bound on undelivered chunks before
+            ingestion blocks (the pipelining backpressure).
+        mp_context: multiprocessing context or start-method name for
+            the process backend; ``None`` uses the platform default.
+            State ships as checkpoints either way, so results do not
+            depend on the start method.
+        recovery_policy: a
+            :class:`~repro.streams.supervisor.RecoveryPolicy` for
+            supervised retry of worker bring-up and, in a
+            :class:`~repro.streams.service.StreamSession`, for
+            restart-and-replay recovery; ``None`` means no bring-up
+            retries here and the library default in a session.
+        heartbeat_interval: seconds between liveness heartbeats on
+            remote shard transports; ``None`` (default) sends none.
+        auth_key: shared secret for HMAC frame signing on remote
+            transports; must match the host agents' ``--auth-key``.
+        max_frame_bytes: per-frame payload cap for remote transports,
+            enforced before allocation; ``None`` uses the transport
+            default (64 MiB).
 
     ``mp_context`` is process-local (a live :mod:`multiprocessing`
     context does not serialise), so :meth:`to_dict` drops it — options
@@ -111,42 +145,23 @@ class ExecutorOptions:
     platform default context. ``auth_key`` is a secret, so
     :meth:`to_dict` drops it too: manifests and wire payloads never
     carry the key.
-
-    The robustness knobs: ``recovery_policy`` (a
-    :class:`~repro.streams.supervisor.RecoveryPolicy`, or ``None`` for
-    the library default) governs supervised restart of crashed shards;
-    ``heartbeat_interval`` makes remote transports prove liveness at
-    that cadence and ``heartbeat_timeout`` is the matching idle bound
-    handed to anything this process *hosts* (both default off).
     """
 
     backend: str = "serial"
     hosts: tuple[str, ...] = ()
     chunk_size: int = 8192
     queue_depth: int = 8
-    transport: str = "auto"
     mp_context: object | None = None
-    poll_seconds: float | None = None
-    slot_poll_seconds: float | None = None
-    stop_timeout: float | None = None
     recovery_policy: "RecoveryPolicy | None" = None
     heartbeat_interval: float | None = None
-    heartbeat_timeout: float | None = None
     auth_key: str | None = None
-    #: Per-frame payload cap for remote transports, enforced before
-    #: allocation; ``None`` uses the transport default (64 MiB).
     max_frame_bytes: int | None = None
 
     def validate(self) -> None:
-        """Reject invalid combinations (same rules as the executor)."""
+        """Reject invalid settings (the only check of these fields)."""
         if self.backend not in _BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {_BACKENDS}, got {self.backend!r}"
-            )
-        if self.transport not in _TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {_TRANSPORTS}, got "
-                f"{self.transport!r}"
             )
         if self.chunk_size < 1:
             raise ConfigurationError(
@@ -166,18 +181,17 @@ class ExecutorOptions:
                 "hosts= is only valid with backend='remote', got "
                 f"backend {self.backend!r}"
             )
-        for knob in (
-            "poll_seconds",
-            "slot_poll_seconds",
-            "stop_timeout",
-            "heartbeat_interval",
-            "heartbeat_timeout",
+        if len(set(self.hosts)) != len(self.hosts):
+            raise ConfigurationError(
+                f"duplicate addresses in hosts={list(self.hosts)!r}"
+            )
+        if self.heartbeat_interval is not None and not (
+            self.heartbeat_interval > 0
         ):
-            value = getattr(self, knob)
-            if value is not None and not value > 0:
-                raise ConfigurationError(
-                    f"{knob} must be > 0, got {value!r}"
-                )
+            raise ConfigurationError(
+                "heartbeat_interval must be > 0, got "
+                f"{self.heartbeat_interval!r}"
+            )
         if self.max_frame_bytes is not None and self.max_frame_bytes < 4096:
             # Below a few KiB not even a handshake fits; reject the
             # footgun rather than hand out an unconnectable executor.
@@ -200,19 +214,18 @@ class ExecutorOptions:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExecutorOptions":
-        """Rebuild options written by :meth:`to_dict`."""
+        """Rebuild options written by :meth:`to_dict`.
+
+        Unknown keys are ignored, so manifests and wire payloads that
+        carry knobs this version no longer has still load.
+        """
         known = {
             name: payload[name]
             for name in (
                 "backend",
                 "chunk_size",
                 "queue_depth",
-                "transport",
-                "poll_seconds",
-                "slot_poll_seconds",
-                "stop_timeout",
                 "heartbeat_interval",
-                "heartbeat_timeout",
                 "max_frame_bytes",
             )
             if name in payload
@@ -227,6 +240,16 @@ class ExecutorOptions:
             recovery_policy=policy,
             **known,
         )
+
+
+def _as_block(events: list[EdgeEvent] | EventBlock) -> EventBlock | None:
+    """``events`` as one :class:`EventBlock`; ``None`` for non-int labels."""
+    if isinstance(events, EventBlock):
+        return events
+    try:
+        return EventBlock.from_events(events)
+    except TypeError:
+        return None
 
 
 def default_shard_key(edge: Edge) -> int:
@@ -366,68 +389,10 @@ class ShardedStreamExecutor:
         mode: ``"partition"`` (hash-route each event to one shard) or
             ``"broadcast"`` (every shard sees every event).
         shard_key: edge → int routing hash (partition mode only).
-        executor_backend: ``"serial"`` (inline replicas) or
-            ``"process"`` (one worker process per replica, launched
-            lazily on first ingestion). The process backend requires the
-            replicas to be checkpointable
-            (:func:`~repro.samplers.checkpoint.sampler_state_dict`) and
-            their weight functions picklable.
-        mp_context: multiprocessing context or start-method name for the
-            process backend; ``None`` uses the platform default. State
-            ships as checkpoints either way, so results do not depend
-            on the start method.
-        chunk_size: events per dispatched batch chunk (process backend).
-            Chunk boundaries never change results — batched ingestion is
-            bit-identical regardless of batching — so this is purely a
-            latency/throughput knob. The default (8192, one
-            shared-memory slot per chunk) favours throughput; lower it
-            when estimate reads must observe ingestion promptly.
-        queue_depth: per-worker bound on undelivered chunks before
-            ingestion blocks (the pipelining backpressure).
-        transport: how event chunks reach the workers (process backend).
-            ``"shm"`` ships encoded
-            :class:`~repro.graph.stream.EventBlock` payloads through a
-            per-worker shared-memory slot ring (no per-chunk pickling);
-            ``"queue"`` is the legacy pickled-tuple path; ``"auto"``
-            (default) uses shared memory and falls back to the queue
-            per chunk for streams whose vertex labels cannot ride an
-            int64 block. Results are bit-identical across transports.
-        hosts: shard host agent addresses (``"host:port"``) for the
-            remote backend; shards are leased across them round-robin
-            at launch (shard *routing* stays ``hash % num_shards`` —
-            membership changes move replicas between hosts, never
-            re-route events). Required for, and only valid with,
-            ``executor_backend="remote"``.
-        poll_seconds: liveness-poll granularity for blocked worker
-            waits (full inbox / awaited reply); ``None`` keeps the
-            library default (0.2s).
-        slot_poll_seconds: liveness-poll granularity for shared-memory
-            slot waits (the shm transport's backpressure); ``None``
-            keeps the library default (0.5ms).
-        stop_timeout: seconds a clean worker stop may take before
-            teardown stops waiting on the process; ``None`` keeps the
-            library default (10s).
-        recovery_policy: a
-            :class:`~repro.streams.supervisor.RecoveryPolicy` enabling
-            supervised retry of worker bring-up (and consumed by the
-            session layer for full restart-and-replay recovery);
-            ``None`` disables bring-up retries here.
-        heartbeat_interval: seconds between liveness heartbeats on
-            remote shard transports; ``None`` (default) disables them.
-        heartbeat_timeout: idle bound advertised to hosted peers
-            (recorded on :attr:`options` for service layers); ``None``
-            disables it.
-        auth_key: shared secret for HMAC frame signing on remote
-            transports; must match the host agents' ``--auth-key``.
-        options: an :class:`ExecutorOptions` bundling every execution
-            knob above (backend, transport, hosts, chunk/queue sizing,
-            poll/stop timing). The preferred spelling — the flat
-            keyword arguments (``executor_backend``, ``mp_context``,
-            ``chunk_size``, ``queue_depth``, ``transport``, ``hosts``,
-            ``poll_seconds``, ``slot_poll_seconds``, ``stop_timeout``)
-            are kept for backwards compatibility and may be deprecated
-            in a future release; mixing them with ``options=`` is
-            rejected.
+        options: an :class:`ExecutorOptions` carrying every execution
+            knob (backend, hosts, chunk and queue sizing, start method,
+            recovery policy, remote liveness and framing); ``None``
+            runs the serial backend with the defaults.
     """
 
     def __init__(
@@ -436,64 +401,11 @@ class ShardedStreamExecutor:
         num_shards: int,
         mode: str = "partition",
         shard_key: Callable[[Edge], int] = default_shard_key,
-        executor_backend: str = "serial",
-        mp_context=None,
-        chunk_size: int = 8192,
-        queue_depth: int = 8,
-        transport: str = "auto",
-        hosts: Sequence[str] | None = None,
-        poll_seconds: float | None = None,
-        slot_poll_seconds: float | None = None,
-        stop_timeout: float | None = None,
         options: ExecutorOptions | None = None,
-        recovery_policy=None,
-        heartbeat_interval: float | None = None,
-        heartbeat_timeout: float | None = None,
-        auth_key: str | None = None,
-        max_frame_bytes: int | None = None,
     ) -> None:
-        if options is not None:
-            overridden = [
-                name
-                for name, value, default in (
-                    ("executor_backend", executor_backend, "serial"),
-                    ("mp_context", mp_context, None),
-                    ("chunk_size", chunk_size, 8192),
-                    ("queue_depth", queue_depth, 8),
-                    ("transport", transport, "auto"),
-                    ("hosts", hosts, None),
-                    ("poll_seconds", poll_seconds, None),
-                    ("slot_poll_seconds", slot_poll_seconds, None),
-                    ("stop_timeout", stop_timeout, None),
-                    ("recovery_policy", recovery_policy, None),
-                    ("heartbeat_interval", heartbeat_interval, None),
-                    ("heartbeat_timeout", heartbeat_timeout, None),
-                    ("auth_key", auth_key, None),
-                    ("max_frame_bytes", max_frame_bytes, None),
-                )
-                if value != default
-            ]
-            if overridden:
-                raise ConfigurationError(
-                    "pass execution knobs either through options= or as "
-                    "flat keyword arguments, not both; flat arguments "
-                    f"also given: {overridden}"
-                )
-            options.validate()
-            executor_backend = options.backend
-            mp_context = options.mp_context
-            chunk_size = options.chunk_size
-            queue_depth = options.queue_depth
-            transport = options.transport
-            hosts = options.hosts or None
-            poll_seconds = options.poll_seconds
-            slot_poll_seconds = options.slot_poll_seconds
-            stop_timeout = options.stop_timeout
-            recovery_policy = options.recovery_policy
-            heartbeat_interval = options.heartbeat_interval
-            heartbeat_timeout = options.heartbeat_timeout
-            auth_key = options.auth_key
-            max_frame_bytes = options.max_frame_bytes
+        if options is None:
+            options = ExecutorOptions()
+        options.validate()
         if num_shards < 1:
             raise ConfigurationError(
                 f"num_shards must be >= 1, got {num_shards}"
@@ -502,90 +414,16 @@ class ShardedStreamExecutor:
             raise ConfigurationError(
                 f"mode must be one of {_MODES}, got {mode!r}"
             )
-        if executor_backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"executor_backend must be one of {_BACKENDS}, got "
-                f"{executor_backend!r}"
-            )
-        if chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        if transport not in _TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {_TRANSPORTS}, got "
-                f"{transport!r}"
-            )
-        if executor_backend == "remote":
-            if not hosts:
-                raise ConfigurationError(
-                    "executor_backend='remote' requires hosts=[...] "
-                    "(shard host agent addresses)"
-                )
-            if len(set(hosts)) != len(hosts):
-                raise ConfigurationError(
-                    f"duplicate addresses in hosts={list(hosts)!r}"
-                )
-        elif hosts:
-            raise ConfigurationError(
-                "hosts= is only valid with executor_backend='remote', "
-                f"got backend {executor_backend!r}"
-            )
-        for knob, value in (
-            ("poll_seconds", poll_seconds),
-            ("slot_poll_seconds", slot_poll_seconds),
-            ("stop_timeout", stop_timeout),
-            ("heartbeat_interval", heartbeat_interval),
-            ("heartbeat_timeout", heartbeat_timeout),
-        ):
-            if value is not None and not value > 0:
-                raise ConfigurationError(
-                    f"{knob} must be > 0, got {value!r}"
-                )
-        if max_frame_bytes is not None and max_frame_bytes < 4096:
-            raise ConfigurationError(
-                f"max_frame_bytes must be >= 4096, got {max_frame_bytes!r}"
-            )
         self.num_shards = num_shards
         self.mode = mode
         self.shard_key = shard_key
-        self.executor_backend = executor_backend
-        self.transport = transport
-        #: The execution knobs as one value object (a construction-time
-        #: snapshot — remote host membership may drift via add/drain).
-        self.options = ExecutorOptions(
-            backend=executor_backend,
-            hosts=tuple(hosts or ()),
-            chunk_size=chunk_size,
-            queue_depth=queue_depth,
-            transport=transport,
-            mp_context=mp_context,
-            poll_seconds=poll_seconds,
-            slot_poll_seconds=slot_poll_seconds,
-            stop_timeout=stop_timeout,
-            recovery_policy=recovery_policy,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            auth_key=auth_key,
-            max_frame_bytes=max_frame_bytes,
-        )
-        if recovery_policy is not None:
-            recovery_policy.validate()
-        self.recovery_policy = recovery_policy
+        #: The execution knobs (remote host membership may drift from
+        #: ``options.hosts`` via add/drain; :attr:`hosts` is current).
+        self.options = options
         #: Lazily-built supervisor for worker bring-up retries.
         self._spawn_supervisor = None
-        self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_timeout = heartbeat_timeout
-        self._auth_key = auth_key
-        self._max_frame_bytes = max_frame_bytes
-        self._mp_context = mp_context
-        self._chunk_size = chunk_size
-        self._queue_depth = queue_depth
-        self._poll_seconds = poll_seconds
-        self._slot_poll_seconds = slot_poll_seconds
-        self._stop_timeout = stop_timeout
         #: Host membership (remote backend); mutated by add/drain.
-        self._hosts: list[str] = list(hosts or ())
+        self._hosts: list[str] = list(options.hosts)
         #: Current shard → host placement (remote backend, after launch).
         self._assignment: list[str] | None = None
         self.shards: list[SubgraphCountingSampler] = [
@@ -611,7 +449,7 @@ class ShardedStreamExecutor:
 
     @property
     def _uses_workers(self) -> bool:
-        return self.executor_backend in _WORKER_BACKENDS
+        return self.options.backend in _WORKER_BACKENDS
 
     @property
     def _process_active(self) -> bool:
@@ -630,7 +468,7 @@ class ShardedStreamExecutor:
         """
         if not self._uses_workers or self._workers is not None:
             return
-        if self.executor_backend == "remote":
+        if self.options.backend == "remote":
             self._assignment = [
                 self._hosts[i % len(self._hosts)]
                 for i in range(self.num_shards)
@@ -662,19 +500,8 @@ class ShardedStreamExecutor:
             index,
             state,
             weight_fn=getattr(self.shards[index], "weight_fn", None),
-            mp_context=self._mp_context,
-            queue_depth=self._queue_depth,
-            transport=self.transport,
-            chunk_hint=self._chunk_size,
+            options=self.options,
             host=host,
-            poll_seconds=self._poll_seconds,
-            slot_poll_seconds=self._slot_poll_seconds,
-            stop_timeout=(
-                10.0 if self._stop_timeout is None else self._stop_timeout
-            ),
-            heartbeat_interval=self._heartbeat_interval,
-            auth_key=self._auth_key,
-            max_frame_bytes=self._max_frame_bytes,
         )
 
     # -- ingestion ----------------------------------------------------------
@@ -690,7 +517,7 @@ class ShardedStreamExecutor:
         if self._uses_workers:
             self._ensure_workers()
             self._pending.append(event)
-            if len(self._pending) >= self._chunk_size:
+            if len(self._pending) >= self.options.chunk_size:
                 self._flush_pending()
             return
         if self.mode == "partition":
@@ -707,7 +534,7 @@ class ShardedStreamExecutor:
             self._ensure_workers()
             if self._pending:
                 self._flush_pending()
-            chunk_size = self._chunk_size
+            chunk_size = self.options.chunk_size
             for start in range(0, len(events), chunk_size):
                 self._dispatch(events[start:start + chunk_size])
             return
@@ -729,64 +556,38 @@ class ShardedStreamExecutor:
                 shard.process_batch(events)
 
     def _dispatch(self, events: list[EdgeEvent] | EventBlock) -> None:
-        """Ship one chunk to the worker fleet (process backend).
+        """Ship one chunk to the worker fleet (process/remote backends).
 
-        Chunks travel as encoded :class:`EventBlock` payloads over the
-        shared-memory transport whenever the labels allow it (always,
-        for int-vertex streams); otherwise they fall back to the
-        pickled-tuple queue path. Either way both ends process the
-        identical event sequence, so results do not depend on the
-        transport.
+        Chunks travel as :class:`EventBlock` payloads whenever the
+        labels allow it (always, for int-vertex streams); otherwise
+        they fall back to pickled ``(is_insertion, u, v)`` tuples.
+        Either way every replica processes the identical event
+        sequence, so results do not depend on the wire format.
         """
         workers = self._workers
-        force_queue = self.transport == "queue"
-        block: EventBlock | None
-        if isinstance(events, EventBlock):
-            block = events
-        elif force_queue:
-            block = None
-        else:
-            try:
-                block = EventBlock.from_events(events)
-            except TypeError:
-                block = None
-        if self.mode == "partition":
-            if block is not None:
-                block_buckets = partition_block(
-                    block, self.num_shards, self.shard_key
-                )
-                for worker, bucket in zip(workers, block_buckets):
-                    if len(bucket):
-                        if force_queue:
-                            # A block-shaped bucket still honours the
-                            # forced legacy wire format: tuple payloads
-                            # over the queue.
-                            worker.send_batch(
-                                list(zip(*bucket.columns()))
-                            )
-                        else:
-                            worker.send_block(bucket)
-            else:
+        block = _as_block(events)
+        if block is None:
+            if self.mode == "partition":
                 buckets = partition_events(
                     events, self.num_shards, self.shard_key
                 )
                 for worker, bucket in zip(workers, buckets):
                     if bucket:
                         worker.send_batch(encode_events(bucket))
-        else:
-            if block is not None:
-                payload = (
-                    list(zip(*block.columns())) if force_queue else None
-                )
-                for worker in workers:
-                    if force_queue:
-                        worker.send_batch(payload)
-                    else:
-                        worker.send_block(block)
             else:
                 payload = encode_events(events)
                 for worker in workers:
                     worker.send_batch(payload)
+        elif self.mode == "partition":
+            block_buckets = partition_block(
+                block, self.num_shards, self.shard_key
+            )
+            for worker, bucket in zip(workers, block_buckets):
+                if len(bucket):
+                    worker.send_block(bucket)
+        else:
+            for worker in workers:
+                worker.send_block(block)
         self._synced = False
 
     def _flush_pending(self) -> None:
@@ -833,22 +634,11 @@ class ShardedStreamExecutor:
         if self._pending:
             self._flush_pending()
         worker = self._workers[index]
-        block: EventBlock | None
-        if isinstance(events, EventBlock):
-            block = events
-        elif self.transport == "queue":
-            block = None
-        else:
-            try:
-                block = EventBlock.from_events(events)
-            except TypeError:
-                block = None
-        if block is not None and self.transport != "queue":
-            worker.send_block(block)
-        elif block is not None:
-            worker.send_batch(list(zip(*block.columns())))
-        else:
+        block = _as_block(events)
+        if block is None:
             worker.send_batch(encode_events(events))
+        else:
+            worker.send_block(block)
         self._synced = False
 
     def process_batch(
@@ -968,10 +758,10 @@ class ShardedStreamExecutor:
                 f"shard index {index} out of range [0, {self.num_shards})"
             )
         if host is not None:
-            if self.executor_backend != "remote":
+            if self.options.backend != "remote":
                 raise ConfigurationError(
                     "restart_shard(host=...) is only valid with "
-                    "executor_backend='remote'"
+                    "backend='remote'"
                 )
             if host not in self._hosts:
                 raise ConfigurationError(
@@ -998,15 +788,16 @@ class ShardedStreamExecutor:
     ) -> ShardWorker:
         """Spawn a replacement worker, retrying bring-up under policy.
 
-        With a :attr:`recovery_policy`, transient spawn failures (a
+        With ``options.recovery_policy``, transient spawn failures (a
         host agent still rebooting, a leased port mid-handoff) back off
         and retry instead of failing the whole recovery incident on a
         race the next attempt would win.
         """
-        if self.recovery_policy is None:
+        policy = self.options.recovery_policy
+        if policy is None:
             return self._spawn_worker(index, state, host=host)
         if self._spawn_supervisor is None:
-            self._spawn_supervisor = self.recovery_policy.build_supervisor(
+            self._spawn_supervisor = policy.build_supervisor(
                 self.num_shards, name="executor-spawn"
             )
         return self._spawn_supervisor.run(
@@ -1055,9 +846,9 @@ class ShardedStreamExecutor:
         initial placement; with more hosts than shards there is nothing
         to move).
         """
-        if self.executor_backend != "remote":
+        if self.options.backend != "remote":
             raise ConfigurationError(
-                "add_host requires executor_backend='remote'"
+                "add_host requires backend='remote'"
             )
         if address in self._hosts:
             raise ConfigurationError(
@@ -1095,9 +886,9 @@ class ShardedStreamExecutor:
         *not* contacted beyond the clean lease stops — shutting the
         agent process down is the caller's business.
         """
-        if self.executor_backend != "remote":
+        if self.options.backend != "remote":
             raise ConfigurationError(
-                "drain_host requires executor_backend='remote'"
+                "drain_host requires backend='remote'"
             )
         if address not in self._hosts:
             raise ConfigurationError(
@@ -1254,6 +1045,6 @@ class ShardedStreamExecutor:
         return (
             f"ShardedStreamExecutor(mode={self.mode!r}, "
             f"shards={self.num_shards}, "
-            f"backend={self.executor_backend!r}, "
+            f"backend={self.options.backend!r}, "
             f"pattern={self.pattern.name!r}, {state})"
         )

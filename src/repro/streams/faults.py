@@ -399,8 +399,8 @@ class FaultyTransport(ShardTransport):
         self.inner.join(timeout)
 
     def __getattr__(self, name: str):
-        # Back-compat surface (``.process``, the shm internals) and
-        # anything else the protocol layer reaches for.
+        # Transport-specific attributes (``process``, the shm ring)
+        # read through the wrapper.
         return getattr(self.inner, name)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

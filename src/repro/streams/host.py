@@ -3,16 +3,16 @@
 One agent per machine (``python -m repro.streams.host --listen
 HOST:PORT``) turns that machine into capacity for a
 :class:`~repro.streams.executor.ShardedStreamExecutor` running with
-``executor_backend="remote"``. The coordinator connects once per shard
-it places here, and each connection is one **lease**: a handshake, the
-shard's framed checkpoint state plus a *named* weight-spec registry
-entry, then the ordinary worker protocol (event blocks,
-``sync``/``snapshot``/``stop``) until the session ends. Replicas are
-restored with :func:`~repro.samplers.checkpoint.restore_sampler` and
-driven through the same
-:func:`~repro.streams.workers.handle_shard_message` dispatch as local
-worker processes — the replica cannot tell which tier it runs in,
-which is what keeps remote results bit-identical to serial ones.
+``ExecutorOptions(backend="remote")``. The coordinator connects once
+per shard it places here, and each connection is one **lease**: a
+handshake, the shard's framed checkpoint state plus a *named*
+weight-spec registry entry, then the ordinary worker protocol (event
+blocks, ``sync``/``snapshot``/``stop``) until the session ends.
+Replicas are restored with
+:func:`~repro.samplers.checkpoint.restore_sampler` and driven through
+the same :func:`~repro.streams.workers.handle_shard_message` dispatch
+as local worker processes — the replica cannot tell which tier it runs
+in, which is what keeps remote results bit-identical to serial ones.
 
 Each lease runs in its own thread, so one agent hosts any number of
 shards (subject to Python's GIL — on a many-core host, run several
@@ -439,8 +439,8 @@ def main(argv=None) -> int:
         prog="python -m repro.streams.host",
         description=(
             "Run a shard host agent: accepts shard leases from a "
-            "ShardedStreamExecutor coordinator (executor_backend="
-            "'remote') and hosts the replicas. Trusted networks only."
+            "ShardedStreamExecutor coordinator (backend='remote') "
+            "and hosts the replicas. Trusted networks only."
         ),
     )
     parser.add_argument(

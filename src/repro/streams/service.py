@@ -90,7 +90,7 @@ from repro.streams.executor import (
     partition_events,
 )
 from repro.streams.queries import StreamQueries
-from repro.streams.supervisor import DEFAULT_RECOVERY_POLICY, RecoveryPolicy
+from repro.streams.supervisor import DEFAULT_RECOVERY_POLICY
 from repro.utils.io import atomic_write_bytes, atomic_write_text
 from repro.utils.rng import derive_seed, spawn_generators
 from repro.weights.heuristic import GPSHeuristicWeight, UniformWeight
@@ -380,7 +380,6 @@ class StreamSession:
         wal_limit_events: int = DEFAULT_WAL_LIMIT,
         wal_spill_events: int | None = None,
         wal_hard_limit_events: int | None = None,
-        recovery_policy: RecoveryPolicy | None = None,
         _states: list[dict] | None = None,
         _generation: int = 0,
         _local_counts: dict | None = None,
@@ -429,12 +428,9 @@ class StreamSession:
         )
         #: The retry hint shipped inside overload rejections.
         self.retry_after_hint = 1.0
+        recovery_policy = options.recovery_policy
         if recovery_policy is None:
-            recovery_policy = (
-                options.recovery_policy
-                if options.recovery_policy is not None
-                else DEFAULT_RECOVERY_POLICY
-            )
+            recovery_policy = DEFAULT_RECOVERY_POLICY
         #: The recovery engine (public: the chaos bench reads its stats).
         self.supervisor = recovery_policy.build_supervisor(
             config.shards, name=name
@@ -932,7 +928,6 @@ class StreamSession:
         wal_limit_events: int = DEFAULT_WAL_LIMIT,
         wal_spill_events: int | None = None,
         wal_hard_limit_events: int | None = None,
-        recovery_policy: RecoveryPolicy | None = None,
     ) -> "StreamSession":
         """Rebuild a session from its latest durable checkpoint.
 
@@ -986,7 +981,6 @@ class StreamSession:
                 wal_limit_events=wal_limit_events,
                 wal_spill_events=wal_spill_events,
                 wal_hard_limit_events=wal_hard_limit_events,
-                recovery_policy=recovery_policy,
                 _states=states,
                 _generation=int(manifest["generation"]),
                 _local_counts=local_counts,
@@ -1204,7 +1198,7 @@ class ServiceConfig:
     The robustness knobs (all off by default): ``wal_spill_events`` /
     ``wal_hard_limit_events`` bound every tenant's write-ahead log
     (spill to disk, then shed load with typed overload errors);
-    ``recovery_policy`` governs supervised crash recovery;
+    ``executor.recovery_policy`` governs supervised crash recovery;
     ``heartbeat_timeout`` drops ingest connections that go fully
     silent; ``auth_key`` requires HMAC-signed frames from every
     client; ``max_frame_bytes`` caps how large a single wire frame's
@@ -1221,7 +1215,6 @@ class ServiceConfig:
     auto_restart: bool = True
     wal_spill_events: int | None = None
     wal_hard_limit_events: int | None = None
-    recovery_policy: RecoveryPolicy | None = None
     heartbeat_timeout: float | None = None
     auth_key: str | None = None
     max_frame_bytes: int | None = None
@@ -1256,8 +1249,6 @@ class ServiceConfig:
                 f"max_frame_bytes must be >= 4096 (or None), got "
                 f"{self.max_frame_bytes}"
             )
-        if self.recovery_policy is not None:
-            self.recovery_policy.validate()
         self.executor.validate()
 
     def with_changes(self, **kwargs) -> "ServiceConfig":
@@ -1296,7 +1287,6 @@ class CountingService:
                     wal_limit_events=self.config.wal_limit_events,
                     wal_spill_events=self.config.wal_spill_events,
                     wal_hard_limit_events=self.config.wal_hard_limit_events,
-                    recovery_policy=self.config.recovery_policy,
                 )
 
     # -- registry ------------------------------------------------------------
@@ -1329,7 +1319,6 @@ class CountingService:
                 wal_limit_events=self.config.wal_limit_events,
                 wal_spill_events=self.config.wal_spill_events,
                 wal_hard_limit_events=self.config.wal_hard_limit_events,
-                recovery_policy=self.config.recovery_policy,
             )
             self._sessions[name] = session
             return session

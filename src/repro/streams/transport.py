@@ -136,6 +136,11 @@ _FRAME_KINDS = (FRAME_HELLO, FRAME_CONTROL, FRAME_BLOCK, FRAME_HEARTBEAT)
 #: knob when genuinely huge checkpoints need to travel.
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Seconds between liveness checks while a shard transport blocks on its
+#: peer (a full inbox, an awaited reply). Small enough that a dead
+#: replica surfaces promptly, large enough that healthy waits stay cheap.
+POLL_SECONDS = 0.2
+
 
 class TransportClosed(Exception):
     """Internal signal: the peer is gone (or reported a failure).
@@ -548,7 +553,6 @@ class TcpShardTransport(ShardTransport):
             ``None`` (pairing samplers; learned weights ride the
             checkpoint).
         address: the host agent's ``"host:port"``.
-        poll_seconds: receive-side liveness poll granularity.
         connect_timeout: seconds allowed for connect + handshake +
             lease acceptance.
         max_frame_bytes: per-connection frame cap override (``None``
@@ -571,7 +575,6 @@ class TcpShardTransport(ShardTransport):
         state: dict,
         weight_spec: tuple[str, dict] | None,
         address: str,
-        poll_seconds: float = 0.2,
         connect_timeout: float = 10.0,
         heartbeat_interval: float | None = None,
         auth_key: str | None = None,
@@ -581,7 +584,6 @@ class TcpShardTransport(ShardTransport):
 
         self.shard_index = shard_index
         self.address = address
-        self._poll_seconds = poll_seconds
         self._max_frame_bytes = max_frame_bytes
         self._closed = False
         self._sock: socket.socket | None = None
@@ -605,7 +607,7 @@ class TcpShardTransport(ShardTransport):
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             handshake_deadline = time.monotonic() + connect_timeout
-            sock.settimeout(min(poll_seconds, connect_timeout))
+            sock.settimeout(min(POLL_SECONDS, connect_timeout))
             if auth_key is None:
                 write_frame(sock, FRAME_HELLO, hello_payload("coordinator"))
                 expect_hello(
@@ -733,7 +735,7 @@ class TcpShardTransport(ShardTransport):
         if self._closed:
             raise TransportClosed()
         sock = self._sock
-        sock.settimeout(self._poll_seconds)
+        sock.settimeout(POLL_SECONDS)
         while True:
             try:
                 frame = read_frame(

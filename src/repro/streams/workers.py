@@ -26,10 +26,10 @@ rules keep the parallel run *result-identical* to the serial one:
   queue still carries the (tiny) ``("batch_shm", slot, nbytes)``
   control messages, so backpressure and ordering are unchanged.
   Streams whose vertex labels cannot ride an int64 block fall back,
-  chunk by chunk, to the legacy pickled-``(is_insertion, u, v)``-tuple
-  path (``transport="queue"`` forces it) — the event sequence the
-  replica sees is identical either way, so results do not depend on
-  the transport.
+  chunk by chunk, to pickled ``(is_insertion, u, v)`` tuples over the
+  queue, and where shared memory is unavailable blocks ride the queue
+  encoded — the event sequence the replica sees is identical either
+  way, so results do not depend on the wire format.
 * **The weight function ships up front.** Threshold samplers need
   their weight function re-supplied on restore. For the local process
   tier it is pickled in the parent *regardless of start method* so a
@@ -71,6 +71,7 @@ import time
 import traceback
 from collections import deque
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -78,12 +79,16 @@ from repro.errors import ConfigurationError, WorkerCrashError
 from repro.graph.stream import DELETE, INSERT, EdgeEvent, EventBlock
 from repro.samplers.checkpoint import restore_sampler, sampler_state_dict
 from repro.streams.transport import (
+    POLL_SECONDS,
     ShardTransport,
     TcpShardTransport,
     TransportClosed,
 )
 from repro.utils.text import clip_text
 from repro.weights.registry import weight_spec_for
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
+    from repro.streams.executor import ExecutorOptions
 
 try:  # pragma: no cover - import guard for exotic builds
     from multiprocessing import shared_memory as _shared_memory
@@ -98,17 +103,14 @@ __all__ = [
     "handle_shard_message",
 ]
 
-#: Default seconds between liveness checks while blocked on a full inbox
-#: or an empty outbox. Small enough that a crashed worker surfaces
-#: promptly, large enough that healthy waits stay cheap. Configurable
-#: per executor via the ``poll_seconds`` kwarg.
-_POLL_SECONDS = 0.2
-
-#: Default seconds between liveness checks while waiting for a
-#: shared-memory slot to free up. Slots recycle at chunk-processing
-#: speed, so this wait is the shm transport's backpressure — poll fast.
-#: Configurable per executor via the ``slot_poll_seconds`` kwarg.
+#: Seconds between liveness checks while waiting for a shared-memory
+#: slot to free up. Slots recycle at chunk-processing speed, so this
+#: wait is the shm transport's backpressure — poll fast.
 _SLOT_POLL_SECONDS = 0.0005
+
+#: Seconds a clean :meth:`ShardWorker.stop` waits for the replica to
+#: exit after its final checkpoint arrives.
+_STOP_TIMEOUT = 10.0
 
 
 def _attach_shm(name: str):
@@ -261,8 +263,9 @@ class ProcessShardTransport(ShardTransport):
     """Local tier: a worker process fed by queues + a shm slot ring.
 
     Constructing the transport spawns the worker process (restoring the
-    replica from its shipped checkpoint) and, unless disabled, a ring
-    of shared-memory slots for columnar event chunks. The bounded inbox
+    replica from its shipped checkpoint) and, where shared memory is
+    available, a ring of shared-memory slots for columnar event chunks
+    (without one, encoded blocks ride the queue). The bounded inbox
     queue is the backpressure: :meth:`send` blocks when the worker is
     ``queue_depth`` undelivered chunks behind, while polling for death
     so a crashed worker surfaces as :class:`TransportClosed` (carrying
@@ -277,12 +280,8 @@ class ProcessShardTransport(ShardTransport):
         queue_depth: bound on the inbox queue — how many undelivered
             batch chunks the parent may run ahead of this worker before
             ingestion blocks.
-        transport: ``"shm"``, ``"queue"``, or ``"auto"`` — whether
-            event chunks ride the slot ring or the queue.
         chunk_hint: the executor's chunk size — sizes the slots so one
             dispatched chunk always fits one slot.
-        poll_seconds: liveness-poll granularity for queue waits.
-        slot_poll_seconds: liveness-poll granularity for slot waits.
     """
 
     def __init__(
@@ -292,14 +291,9 @@ class ProcessShardTransport(ShardTransport):
         weight_blob: bytes | None,
         mp_context,
         queue_depth: int = 8,
-        transport: str = "auto",
         chunk_hint: int = 2048,
-        poll_seconds: float = _POLL_SECONDS,
-        slot_poll_seconds: float = _SLOT_POLL_SECONDS,
     ) -> None:
         self.shard_index = shard_index
-        self._poll_seconds = poll_seconds
-        self._slot_poll_seconds = slot_poll_seconds
         self._inbox = mp_context.Queue(maxsize=queue_depth)
         self._outbox = mp_context.Queue()
         # Replies popped while hunting for an error report during a
@@ -319,7 +313,7 @@ class ProcessShardTransport(ShardTransport):
         self._slot_bytes = 0
         self._next_slot = 0
         shm_spec = None
-        if transport in ("auto", "shm") and _shared_memory is not None:
+        if _shared_memory is not None:
             num_slots = queue_depth + 2
             slot_bytes = EventBlock.byte_size(max(1, chunk_hint))
             try:
@@ -327,9 +321,7 @@ class ProcessShardTransport(ShardTransport):
                     create=True, size=num_slots * (1 + slot_bytes)
                 )
             except Exception:
-                if transport == "shm":
-                    raise
-                self._shm = None  # auto: fall back to the queue path
+                self._shm = None  # no shm here: blocks ride the queue
             if self._shm is not None:
                 self._shm.buf[:num_slots] = bytes(num_slots)
                 self._slot_flags = np.frombuffer(
@@ -338,10 +330,6 @@ class ProcessShardTransport(ShardTransport):
                 self._num_slots = num_slots
                 self._slot_bytes = slot_bytes
                 shm_spec = (self._shm.name, num_slots, slot_bytes)
-        elif transport == "shm" and _shared_memory is None:
-            raise ConfigurationError(
-                "transport='shm' requires multiprocessing.shared_memory"
-            )
         try:
             self.process = mp_context.Process(
                 target=_worker_main,
@@ -394,7 +382,7 @@ class ProcessShardTransport(ShardTransport):
     def send(self, message: tuple) -> None:
         while True:
             try:
-                self._inbox.put(message, timeout=self._poll_seconds)
+                self._inbox.put(message, timeout=POLL_SECONDS)
                 return
             except ValueError:
                 # kill() closed the queues: the same death signal a
@@ -452,14 +440,14 @@ class ProcessShardTransport(ShardTransport):
             if not self.process.is_alive():
                 self._check_reply(self._drain_after_death())
                 raise TransportClosed() from None
-            time.sleep(self._slot_poll_seconds)
+            time.sleep(_SLOT_POLL_SECONDS)
 
     def recv(self) -> tuple:
         if self._pending:
             return self._pending.popleft()
         while True:
             try:
-                return self._outbox.get(timeout=self._poll_seconds)
+                return self._outbox.get(timeout=POLL_SECONDS)
             except ValueError:
                 raise TransportClosed() from None
             except queue.Empty:
@@ -542,36 +530,18 @@ class ShardWorker:
             uniformly; for remote leases it is translated to its named
             weight-spec registry entry (an unregistered function fails
             here, before any bytes move).
-        mp_context: a :mod:`multiprocessing` context or start-method
-            name (``"fork"`` / ``"spawn"`` / ``"forkserver"``); ``None``
-            uses the platform default. Ignored for remote workers.
-        queue_depth: bound on the inbox queue — how many undelivered
-            batch chunks the parent may run ahead of this worker before
-            ingestion blocks (the pipelining backpressure). Remote
-            workers get the equivalent bound from the kernel socket
-            buffer.
-        transport: ``"shm"`` (shared-memory slot ring for
-            :class:`~repro.graph.stream.EventBlock` chunks),
-            ``"queue"`` (legacy pickled payloads), or ``"auto"``
-            (shared memory when available, per-chunk queue fallback for
-            non-int labels). Bit-identical results either way. Ignored
-            for remote workers (blocks ride TCP frames).
-        chunk_hint: the executor's chunk size — sizes the shared-memory
-            slots so one dispatched chunk always fits one slot.
+        options: the executor's
+            :class:`~repro.streams.executor.ExecutorOptions`; ``None``
+            uses the defaults. A local worker reads ``mp_context``,
+            ``queue_depth`` (the inbox bound — how many undelivered
+            chunks the parent may run ahead before ingestion blocks)
+            and ``chunk_size`` (sizes the shared-memory slots so one
+            dispatched chunk always fits one slot); a remote lease reads
+            ``heartbeat_interval``, ``auth_key`` and ``max_frame_bytes``
+            (its backpressure bound is the kernel socket buffer).
         host: ``"host:port"`` of a running shard host agent
             (:mod:`repro.streams.host`); when given, the replica is
             leased there instead of spawning a local process.
-        poll_seconds: liveness-poll granularity for blocked waits;
-            ``None`` uses the module default.
-        slot_poll_seconds: liveness-poll granularity for shm slot
-            waits; ``None`` uses the module default.
-        stop_timeout: default timeout for :meth:`stop`.
-        heartbeat_interval: seconds between liveness heartbeats on a
-            remote transport; ``None`` (default) disables them.
-            Ignored for local process workers (the process handle *is*
-            the liveness signal).
-        auth_key: shared secret for HMAC frame signing on a remote
-            transport; ``None`` (default) leaves frames unsigned.
     """
 
     def __init__(
@@ -579,36 +549,18 @@ class ShardWorker:
         shard_index: int,
         state: dict,
         weight_fn=None,
-        mp_context=None,
-        queue_depth: int = 8,
-        transport: str = "auto",
-        chunk_hint: int = 2048,
+        options: ExecutorOptions | None = None,
         host: str | None = None,
-        poll_seconds: float | None = None,
-        slot_poll_seconds: float | None = None,
-        stop_timeout: float = 10.0,
-        heartbeat_interval: float | None = None,
-        auth_key: str | None = None,
-        max_frame_bytes: int | None = None,
     ) -> None:
-        if queue_depth < 1:
-            raise ConfigurationError(
-                f"queue_depth must be >= 1, got {queue_depth}"
-            )
-        if transport not in ("auto", "shm", "queue"):
-            raise ConfigurationError(
-                f"transport must be 'auto', 'shm' or 'queue', got "
-                f"{transport!r}"
-            )
+        if options is None:
+            from repro.streams.executor import ExecutorOptions
+
+            options = ExecutorOptions()
+        options.validate()
         self.shard_index = shard_index
         self.host = host
         self._token = 0
         self._failure: str | None = None
-        self._stop_timeout = stop_timeout
-        if poll_seconds is None:
-            poll_seconds = _POLL_SECONDS
-        if slot_poll_seconds is None:
-            slot_poll_seconds = _SLOT_POLL_SECONDS
         try:
             if host is not None:
                 # Remote tier: a named registry spec, never a pickled
@@ -622,10 +574,9 @@ class ShardWorker:
                     ) from None
                 self.transport: ShardTransport = TcpShardTransport(
                     shard_index, state, weight_spec, host,
-                    poll_seconds=poll_seconds,
-                    heartbeat_interval=heartbeat_interval,
-                    auth_key=auth_key,
-                    max_frame_bytes=max_frame_bytes,
+                    heartbeat_interval=options.heartbeat_interval,
+                    auth_key=options.auth_key,
+                    max_frame_bytes=options.max_frame_bytes,
                 )
             else:
                 # Local tier: the queue between parent and child is
@@ -643,15 +594,13 @@ class ShardWorker:
                         "parallel backends ship it to the worker — use a "
                         "picklable weight function or the serial backend"
                     ) from exc
+                mp_context = options.mp_context
                 if mp_context is None or isinstance(mp_context, str):
                     mp_context = multiprocessing.get_context(mp_context)
                 self.transport = ProcessShardTransport(
                     shard_index, state, weight_blob, mp_context,
-                    queue_depth=queue_depth,
-                    transport=transport,
-                    chunk_hint=chunk_hint,
-                    poll_seconds=poll_seconds,
-                    slot_poll_seconds=slot_poll_seconds,
+                    queue_depth=options.queue_depth,
+                    chunk_hint=options.chunk_size,
                 )
         except TransportClosed as exc:
             self._failure = exc.failure or "worker failed to start"
@@ -664,27 +613,6 @@ class ShardWorker:
         plan = _faults.active_plan()
         if plan is not None:
             self.transport = plan.wrap(self.transport)
-
-    # -- back-compat surface ------------------------------------------------
-    # Pre-refactor callers (and tests) reached the process handle and
-    # the shm ring directly on the worker; keep those names working by
-    # delegating to the transport.
-
-    @property
-    def process(self):
-        return self.transport.process
-
-    @property
-    def _shm(self):
-        return getattr(self.transport, "_shm", None)
-
-    @property
-    def _num_slots(self) -> int:
-        return getattr(self.transport, "_num_slots", 0)
-
-    @property
-    def _slot_bytes(self) -> int:
-        return getattr(self.transport, "_slot_bytes", 0)
 
     # -- liveness ----------------------------------------------------------
 
@@ -754,16 +682,14 @@ class ShardWorker:
             raise self._crash()
         return reply
 
-    def stop(self, timeout: float | None = None) -> dict:
+    def stop(self) -> dict:
         """Stop the worker cleanly; return its final checkpoint state."""
-        if timeout is None:
-            timeout = self._stop_timeout
         try:
             reply = self.request("stop")
         except WorkerCrashError:
             self.transport.release()
             raise
-        self.transport.join(timeout)
+        self.transport.join(_STOP_TIMEOUT)
         self.transport.release()
         return reply[2]
 

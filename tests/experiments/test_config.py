@@ -10,6 +10,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     ScenarioConfig,
 )
+from repro.streams.executor import ExecutorOptions
 from repro.streams.validate import validate_stream
 
 
@@ -67,16 +68,21 @@ class TestExperimentConfig:
             ExperimentConfig(trials=0).validate()
 
     def test_executor_backend_validated(self):
-        ExperimentConfig(shards=2, executor_backend="process").validate()
-        ExperimentConfig(executor_backend="serial").validate()
+        process = ExecutorOptions(backend="process")
+        ExperimentConfig(shards=2, executor=process).validate()
+        ExperimentConfig(executor=ExecutorOptions()).validate()
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(executor_backend="threads").validate()
+            ExperimentConfig(
+                executor=ExecutorOptions(backend="threads")
+            ).validate()
 
     def test_process_backend_requires_sharding(self):
         """shards=1 runs a bare sampler, so a requested process backend
         would be silently ignored — refused instead."""
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(shards=1, executor_backend="process").validate()
+            ExperimentConfig(
+                shards=1, executor=ExecutorOptions(backend="process")
+            ).validate()
 
     def test_with_changes(self):
         config = ExperimentConfig(dataset="cit-PT")

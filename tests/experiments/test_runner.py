@@ -29,6 +29,7 @@ from repro.samplers.thinkd import ThinkD
 from repro.samplers.triest import Triest
 from repro.samplers.wrs import WRS
 from repro.samplers.wsd import WSD
+from repro.streams.executor import ExecutorOptions
 from repro.streams.scenarios import light_deletion_stream
 from repro.utils.rng import RngFactory
 from repro.weights.learned import LearnedWeight
@@ -200,10 +201,10 @@ class TestSegmentRunner:
     ):
         stream, truth = cells["triangle", False]
 
-        def build(executor_backend):
+        def build(backend):
             return make_trial_sampler(
                 "WSD-H", "triangle", 40, RngFactory(3), 0, shards=2,
-                executor_backend=executor_backend,
+                executor=ExecutorOptions(backend=backend),
             )
 
         result = run_sampler_trial(build(backend), stream, truth)
@@ -384,23 +385,27 @@ class TestShardedRuns:
         config = ExperimentConfig(shards=2, shard_mode="scatter")
         with pytest.raises(ConfigurationError):
             config.validate()
-        config = ExperimentConfig(shards=2, executor_backend="threads")
+        config = ExperimentConfig(
+            shards=2, executor=ExecutorOptions(backend="threads")
+        )
         with pytest.raises(ConfigurationError):
             config.validate()
 
     @pytest.mark.parametrize("shard_mode", ["partition", "broadcast"])
     def test_process_backend_matches_serial_exactly(self, workload, shard_mode):
-        """executor_backend='process' is a deployment choice, not a
+        """The process backend is a deployment choice, not a
         statistical one: the runner's aggregated metrics must equal the
         serial backend's bit for bit under the same seed."""
         stream, truth = workload
         serial = run_algorithm(
             "WSD-H", stream, truth, "triangle", 40, trials=2, seed=3,
-            shards=2, shard_mode=shard_mode, executor_backend="serial",
+            shards=2, shard_mode=shard_mode,
+            executor=ExecutorOptions(backend="serial"),
         )
         process = run_algorithm(
             "WSD-H", stream, truth, "triangle", 40, trials=2, seed=3,
-            shards=2, shard_mode=shard_mode, executor_backend="process",
+            shards=2, shard_mode=shard_mode,
+            executor=ExecutorOptions(backend="process"),
         )
         assert process.ares == serial.ares
         assert process.mares == serial.mares
@@ -412,7 +417,8 @@ class TestShardedRuns:
         stream, truth = workload
         executor = make_trial_sampler(
             "WSD-H", "triangle", 40, RngFactory(0), 0,
-            shards=2, shard_mode="partition", executor_backend="process",
+            shards=2, shard_mode="partition",
+            executor=ExecutorOptions(backend="process"),
         )
         run_sampler_trial(executor, stream, truth)
         # Workers are gone; the harvested replicas answer serially.

@@ -57,8 +57,9 @@ def run_under_plan(events, name, plan, *, policy=FAST_RECOVERY, step=128):
         session = StreamSession(
             name,
             CONFIG,
-            options=ExecutorOptions(backend="process"),
-            recovery_policy=policy,
+            options=ExecutorOptions(
+                backend="process", recovery_policy=policy
+            ),
         )
         try:
             plan.drive(session, events, step=step)
@@ -152,8 +153,9 @@ class TestFailureBudget:
             session = StreamSession(
                 "chaos-budget",
                 CONFIG,
-                options=ExecutorOptions(backend="process"),
-                recovery_policy=policy,
+                options=ExecutorOptions(
+                    backend="process", recovery_policy=policy
+                ),
             )
             try:
                 with pytest.raises(ShardUnrecoverableError) as excinfo:

@@ -245,7 +245,13 @@ def _exchange(address: str, blob: bytes) -> list[tuple[int, bytes]]:
     replies = []
     with socket.create_connection((host, port), timeout=10.0) as sock:
         sock.sendall(blob)
-        sock.shutdown(socket.SHUT_WR)
+        try:
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            # A peer that rejects at the header closes with our payload
+            # unread, so its reset can land first; the reply it sent
+            # before closing is still buffered for the reads below.
+            pass
         while True:
             try:
                 frame = read_frame(sock, deadline=deadline)

@@ -29,6 +29,7 @@ from repro.errors import (
 from repro.graph.generators import powerlaw_cluster
 from repro.samplers import WSD
 from repro.streams import ShardedStreamExecutor
+from repro.streams.executor import ExecutorOptions
 from repro.streams.host import spawn_local_host
 from repro.streams.ingest import ServiceClient
 from repro.streams.service import CountingService, ServiceConfig, StreamConfig
@@ -183,9 +184,9 @@ def make_remote(host, *, seed=17, shards=2, **kwargs):
         factory,
         shards,
         mode="partition",
-        executor_backend="remote",
-        hosts=[host.address],
-        **kwargs,
+        options=ExecutorOptions(
+            backend="remote", hosts=(host.address,), **kwargs
+        ),
     )
 
 

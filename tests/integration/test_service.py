@@ -443,6 +443,39 @@ class TestDurability:
         assert second.queries.estimate() == reference
         second.close()
 
+    def test_manifest_from_an_older_build_restores(self, events, tmp_path):
+        """Manifests written before the option set shrank carry five
+        execution knobs this build no longer has; restore ignores them
+        and continues bit-identically."""
+        config = StreamConfig(budget=300, seed=13, shards=2)
+        options = ExecutorOptions(chunk_size=256)
+        reference = serial_reference(events, config, "older")
+        half = len(events) // 2
+
+        first = StreamSession(
+            "older", config, options=options, state_dir=tmp_path
+        )
+        first.ingest(events[:half])
+        first.checkpoint()
+        first.close()
+        for path in (tmp_path / "older").glob("manifest*.json"):
+            manifest = json.loads(path.read_text())
+            manifest["options"].update(
+                transport="shm",
+                poll_seconds=0.05,
+                slot_poll_seconds=0.001,
+                stop_timeout=5.0,
+                heartbeat_timeout=30.0,
+            )
+            path.write_text(json.dumps(manifest))
+
+        second = StreamSession.restore("older", tmp_path)
+        assert second.options == options
+        assert second.clock == half
+        second.ingest(events[half:])
+        assert second.queries.estimate() == reference
+        second.close()
+
     def test_generations_are_committed_atomically(self, events, tmp_path):
         config = StreamConfig(budget=300, seed=13)
         session = StreamSession("gen", config, state_dir=tmp_path)

@@ -27,7 +27,7 @@ from repro.samplers.checkpoint import restore_sampler, sampler_state_dict
 from repro.samplers.gps import GPS
 from repro.samplers.gps_a import GPSA
 from repro.samplers.wsd import WSD
-from repro.streams.executor import ShardedStreamExecutor
+from repro.streams.executor import ExecutorOptions, ShardedStreamExecutor
 from repro.utils.rng import spawn_generators
 from repro.weights.features import state_dimension
 from repro.weights.learned import LearnedWeight
@@ -247,11 +247,9 @@ class TestLearnedExecutor:
     def test_process_backend_matches_serial(self):
         """WSD-L shards survive the pickle → worker → checkpoint loop."""
         events = dynamic_stream(num_events=600, seed=43)
-        serial = ShardedStreamExecutor(
-            self.factory(), 2, executor_backend="serial"
-        )
+        serial = ShardedStreamExecutor(self.factory(), 2)
         process = ShardedStreamExecutor(
-            self.factory(), 2, executor_backend="process"
+            self.factory(), 2, options=ExecutorOptions(backend="process")
         )
         serial.process_batch(events)
         with process:

@@ -1,8 +1,12 @@
 """Tests for the sharded stream executor and hash partitioning."""
 
+import json
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent
 from repro.patterns.exact import ExactCounter
@@ -14,6 +18,9 @@ from repro.streams import (
     partition_events,
     partition_stream,
 )
+from repro.streams.executor import ExecutorOptions
+from repro.streams.service import ServiceConfig
+from repro.streams.supervisor import RecoveryPolicy
 from repro.streams.validate import validate_stream
 from repro.utils.rng import RngFactory
 from repro.weights.heuristic import GPSHeuristicWeight
@@ -115,6 +122,58 @@ class TestExecutorConstruction:
 
         with pytest.raises(ConfigurationError):
             ShardedStreamExecutor(make, 2)
+
+
+class TestExecutorOptions:
+    def test_duplicate_hosts_rejected_by_every_carrier(self):
+        options = ExecutorOptions(backend="remote", hosts=("h:1", "h:1"))
+        for validate in (
+            options.validate,
+            ServiceConfig(executor=options).validate,
+            ExperimentConfig(shards=2, executor=options).validate,
+        ):
+            with pytest.raises(ConfigurationError, match="duplicate"):
+                validate()
+
+    def test_round_trip_drops_context_and_key(self):
+        assert [field.name for field in fields(ExecutorOptions)] == [
+            "backend", "hosts", "chunk_size", "queue_depth", "mp_context",
+            "recovery_policy", "heartbeat_interval", "auth_key",
+            "max_frame_bytes",
+        ]
+        options = ExecutorOptions(
+            backend="remote",
+            hosts=("h:1", "h:2"),
+            chunk_size=64,
+            queue_depth=3,
+            mp_context="spawn",
+            recovery_policy=RecoveryPolicy(max_attempts=2, seed=9),
+            heartbeat_interval=0.5,
+            auth_key="sekrit",
+            max_frame_bytes=1 << 20,
+        )
+        payload = json.loads(json.dumps(options.to_dict()))
+        assert "mp_context" not in payload
+        assert "auth_key" not in payload
+        assert ExecutorOptions.from_dict(payload) == replace(
+            options, mp_context=None, auth_key=None
+        )
+
+    def test_from_dict_ignores_dropped_keys(self):
+        payload = ExecutorOptions(backend="process", chunk_size=256).to_dict()
+        # The knobs an older build wrote into manifests and ``create``
+        # payloads; this build no longer has them.
+        older = dict(
+            payload,
+            transport="shm",
+            poll_seconds=0.05,
+            slot_poll_seconds=0.001,
+            stop_timeout=5.0,
+            heartbeat_timeout=30.0,
+        )
+        assert ExecutorOptions.from_dict(older) == ExecutorOptions(
+            backend="process", chunk_size=256
+        )
 
 
 class TestExecutorSemantics:

@@ -1,10 +1,10 @@
 """Process-backend executor tests: the serial-parity contract.
 
-The load-bearing guarantee of ``executor_backend="process"`` is that it
-is a pure deployment choice: under fixed seeds it produces estimates
-*identical* to the serial backend, for every checkpointable sampler, in
-both partition and broadcast modes, regardless of chunking, start
-method, or a mid-run crash-restart of a single shard.
+The load-bearing guarantee of ``ExecutorOptions(backend="process")`` is
+that it is a pure deployment choice: under fixed seeds it produces
+estimates *identical* to the serial backend, for every checkpointable
+sampler, in both partition and broadcast modes, regardless of chunking,
+start method, or a mid-run crash-restart of a single shard.
 """
 
 import time
@@ -16,6 +16,7 @@ from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent
 from repro.samplers import GPS, GPSA, WRS, WSD, ThinkD, Triest
 from repro.streams import ShardedStreamExecutor, build_stream
+from repro.streams.executor import ExecutorOptions
 from repro.utils.rng import spawn_generators
 from repro.weights.heuristic import GPSHeuristicWeight, UniformWeight
 
@@ -51,8 +52,7 @@ def build_executor(make, backend, mode, seed=17, shards=2, **kwargs):
         lambda i: make(rngs[i]),
         shards,
         mode=mode,
-        executor_backend=backend,
-        **kwargs,
+        options=ExecutorOptions(backend=backend, **kwargs),
     )
 
 
@@ -148,8 +148,8 @@ class TestCrashRestart:
             assert len(states) == 2
 
             victim = proc._workers[0]
-            victim.process.kill()
-            victim.process.join(5.0)
+            victim.transport.process.kill()
+            victim.transport.process.join(5.0)
             assert not victim.is_alive()
             survivor = proc._workers[1]
 
@@ -237,8 +237,8 @@ class TestLifecycle:
         proc = build_executor(make, "process", "partition")
         proc.process_batch(stream[:40])
         proc.snapshot()
-        proc._workers[1].process.kill()
-        proc._workers[1].process.join(5.0)
+        proc._workers[1].transport.process.kill()
+        proc._workers[1].transport.process.join(5.0)
         with pytest.raises(WorkerCrashError):
             proc.close()
         # The dead shard was restored from its snapshot; queries work.
@@ -295,10 +295,10 @@ def test_worker_processes_reaped_promptly(streams):
     proc.close()
     deadline = time.time() + 5.0
     while time.time() < deadline:
-        if all(w.process.exitcode is not None for w in workers):
+        if all(w.transport.process.exitcode is not None for w in workers):
             break
         time.sleep(0.05)
-    assert all(w.process.exitcode == 0 for w in workers)
+    assert all(w.transport.process.exitcode == 0 for w in workers)
 
 
 class TestArenaParity:

@@ -1,10 +1,10 @@
 """Remote-backend executor tests: the distributed bit-identity contract.
 
-``executor_backend="remote"`` must be a pure *placement* choice, just
-as the process backend is a pure deployment choice: under fixed seeds a
-fleet of shard replicas leased across TCP host agents produces
-estimates identical to the serial backend — through crashes, frame
-corruption, restarts onto surviving hosts, and elastic membership
+``ExecutorOptions(backend="remote")`` must be a pure *placement*
+choice, just as the process backend is a pure deployment choice: under
+fixed seeds a fleet of shard replicas leased across TCP host agents
+produces estimates identical to the serial backend — through crashes,
+frame corruption, restarts onto surviving hosts, and elastic membership
 changes. Host agents here are local processes standing in for separate
 machines; nothing in the coordinator path knows the difference.
 """
@@ -26,6 +26,7 @@ from repro.graph.stream import EdgeEvent
 from repro.samplers import GPS, GPSA, WRS, WSD, ThinkD, Triest
 from repro.samplers.checkpoint import sampler_state_dict
 from repro.streams import ShardedStreamExecutor, ShardWorker, build_stream
+from repro.streams.executor import ExecutorOptions
 from repro.streams.workers import encode_events
 from repro.streams.host import HostAgent, spawn_local_host
 from repro.streams.transport import (
@@ -85,8 +86,7 @@ def build_executor(make, backend, mode, seed=17, shards=2, **kwargs):
         lambda i: make(rngs[i]),
         shards,
         mode=mode,
-        executor_backend=backend,
-        **kwargs,
+        options=ExecutorOptions(backend=backend, **kwargs),
     )
 
 
@@ -97,7 +97,7 @@ def run_serial(make, mode, stream, **kwargs):
 
 
 def addresses(agents):
-    return [agent.address for agent in agents]
+    return tuple(agent.address for agent in agents)
 
 
 class TestSerialRemoteParity:
@@ -157,7 +157,7 @@ class TestRemoteConfiguration:
         make = SAMPLER_CASES[0][2]
         with pytest.raises(ConfigurationError, match="remote"):
             build_executor(
-                make, "process", "partition", hosts=["127.0.0.1:1"]
+                make, "process", "partition", hosts=("127.0.0.1:1",)
             )
 
     def test_duplicate_hosts_rejected(self):
@@ -165,16 +165,8 @@ class TestRemoteConfiguration:
         with pytest.raises(ConfigurationError, match="duplicate"):
             build_executor(
                 make, "remote", "partition",
-                hosts=["127.0.0.1:1", "127.0.0.1:1"],
+                hosts=("127.0.0.1:1", "127.0.0.1:1"),
             )
-
-    def test_knobs_must_be_positive(self):
-        make = SAMPLER_CASES[0][2]
-        for knob in ("poll_seconds", "slot_poll_seconds", "stop_timeout"):
-            with pytest.raises(ConfigurationError, match=knob):
-                build_executor(
-                    make, "serial", "partition", **{knob: 0.0}
-                )
 
     def test_membership_ops_require_remote_backend(self):
         make = SAMPLER_CASES[0][2]
@@ -187,17 +179,22 @@ class TestRemoteConfiguration:
     def test_experiment_config_validation(self):
         base = ExperimentConfig(shards=2)
         base.with_changes(
-            executor_backend="remote",
-            executor_hosts=("127.0.0.1:9000",),
+            executor=ExecutorOptions(
+                backend="remote", hosts=("127.0.0.1:9000",)
+            ),
         ).validate()
-        with pytest.raises(ConfigurationError, match="executor_hosts"):
-            base.with_changes(executor_backend="remote").validate()
+        with pytest.raises(ConfigurationError, match="hosts"):
+            base.with_changes(
+                executor=ExecutorOptions(backend="remote")
+            ).validate()
         with pytest.raises(ConfigurationError, match="remote"):
             base.with_changes(
-                executor_hosts=("127.0.0.1:9000",)
+                executor=ExecutorOptions(hosts=("127.0.0.1:9000",))
             ).validate()
-        with pytest.raises(ConfigurationError, match="poll"):
-            base.with_changes(executor_poll_seconds=0.0).validate()
+        with pytest.raises(ConfigurationError, match="heartbeat"):
+            base.with_changes(
+                executor=ExecutorOptions(heartbeat_interval=0.0)
+            ).validate()
 
     def test_executor_knobs_accepted_with_parity(self, streams, agents):
         """The liveness knobs are plumbing, not semantics: tightening
@@ -207,7 +204,7 @@ class TestRemoteConfiguration:
         serial = run_serial(make, "partition", stream)
         with build_executor(
             make, "remote", "partition", hosts=addresses(agents),
-            chunk_size=128, poll_seconds=0.05, stop_timeout=5.0,
+            chunk_size=128, queue_depth=2, heartbeat_interval=0.05,
         ) as remote:
             remote.process_stream(stream)
             assert remote.estimate == serial.estimate
@@ -226,7 +223,7 @@ class TestFaultInjection:
         try:
             remote = build_executor(
                 make, "remote", "partition", chunk_size=64,
-                hosts=[victim.address, survivor.address],
+                hosts=(victim.address, survivor.address),
             )
             remote.process_batch(stream[:half])
             remote.snapshot()  # barrier: checkpoint covers exactly [:half]
@@ -392,7 +389,7 @@ class TestElasticMembership:
         try:
             remote = build_executor(
                 make, "remote", "partition", shards=3, chunk_size=64,
-                hosts=[a, b],
+                hosts=(a, b),
             )
             remote.process_batch(stream[:third])
             clocks_before = remote.shard_times()
@@ -430,7 +427,7 @@ class TestElasticMembership:
         make = SAMPLER_CASES[0][2]
         remote = build_executor(
             make, "remote", "partition", shards=2,
-            hosts=[agents[0].address],
+            hosts=(agents[0].address,),
         )
         assert remote.add_host(agents[1].address) == []
         remote.process_batch([])  # launch the fleet
@@ -442,7 +439,7 @@ class TestElasticMembership:
     def test_drain_guards(self, agents):
         make = SAMPLER_CASES[0][2]
         remote = build_executor(
-            make, "remote", "partition", hosts=[agents[0].address],
+            make, "remote", "partition", hosts=(agents[0].address,),
         )
         with pytest.raises(ConfigurationError, match="only host"):
             remote.drain_host(agents[0].address)

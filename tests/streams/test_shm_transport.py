@@ -3,8 +3,10 @@
 The process backend's chunks travel as encoded ``EventBlock`` payloads
 through a per-worker shared-memory slot ring. The contracts:
 
-* bit-identical results across transports (``shm`` vs the legacy
-  ``queue``) and across input representations (event lists vs blocks);
+* bit-identical results against the serial backend and across input
+  representations (event lists vs blocks);
+* on a platform with shared memory, every process worker gets a slot
+  ring with the default options (no silent fall back to the queue);
 * chunk/slot boundaries never change results (a block larger than a
   slot is split transparently);
 * the crash-restart path (checkpoint snapshot → kill → respawn) works
@@ -19,6 +21,7 @@ from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent, EventBlock
 from repro.samplers import WSD, ThinkD
 from repro.streams import ShardedStreamExecutor, build_stream
+from repro.streams.executor import ExecutorOptions
 from repro.streams.workers import ShardWorker
 from repro.samplers.checkpoint import sampler_state_dict
 from repro.utils.rng import spawn_generators
@@ -36,32 +39,25 @@ def block(stream):
     return EventBlock.from_events(stream)
 
 
-def build_executor(backend, transport="auto", seed=17, shards=2, **kwargs):
+def build_executor(backend, seed=17, shards=2, **kwargs):
     rngs = spawn_generators(seed, shards)
     return ShardedStreamExecutor(
         lambda i: WSD("triangle", 60, GPSHeuristicWeight(), rng=rngs[i]),
         shards,
         mode="partition",
-        executor_backend=backend,
-        transport=transport,
-        **kwargs,
+        options=ExecutorOptions(backend=backend, **kwargs),
     )
 
 
 class TestTransportParity:
-    def test_shm_matches_serial_and_queue(self, stream, block):
+    def test_shm_matches_serial(self, stream, block):
         serial = build_executor("serial")
         serial.process_stream(block)
         estimates = {"serial": serial.estimate}
-        for transport in ("shm", "queue"):
-            for payload in (stream, block):
-                with build_executor(
-                    "process", transport, chunk_size=64
-                ) as executor:
-                    executor.process_stream(payload)
-                    estimates[f"{transport}/{type(payload).__name__}"] = (
-                        executor.estimate
-                    )
+        for payload in (stream, block):
+            with build_executor("process", chunk_size=64) as executor:
+                executor.process_stream(payload)
+                estimates[type(payload).__name__] = executor.estimate
         assert len(set(estimates.values())) == 1, estimates
 
     def test_slot_boundaries_do_not_change_results(self, block):
@@ -70,7 +66,7 @@ class TestTransportParity:
         # dispatch that must be split across slots internally.
         for chunk_size in (16, 4096):
             with build_executor(
-                "process", "shm", chunk_size=chunk_size
+                "process", chunk_size=chunk_size
             ) as executor:
                 executor.process_stream(block)
                 estimate = executor.estimate
@@ -85,7 +81,7 @@ class TestTransportParity:
         reference = WSD("triangle", 60, GPSHeuristicWeight(), rng=3)
         worker = ShardWorker(
             0, sampler_state_dict(reference), GPSHeuristicWeight(),
-            transport="shm", chunk_hint=8,
+            options=ExecutorOptions(chunk_size=8),
         )
         try:
             local = WSD("triangle", 60, GPSHeuristicWeight(), rng=3)
@@ -110,50 +106,44 @@ class TestTransportParity:
         rngs = spawn_generators(5, 2)
         with ShardedStreamExecutor(
             factory, 2, mode="partition",
-            executor_backend="process", transport="auto",
+            options=ExecutorOptions(backend="process"),
         ) as proc:
             proc.process_stream(events)
             assert proc.estimate == serial.estimate
 
-    def test_forced_queue_never_allocates_shm(self, stream):
-        with build_executor("process", "queue", chunk_size=64) as executor:
-            executor.process_stream(stream)
-            for worker in executor._workers:
-                assert worker._shm is None
-
     def test_shm_transport_allocates_ring(self, stream):
-        with build_executor("process", "shm", chunk_size=64) as executor:
+        with build_executor("process") as executor:
             executor.process_stream(stream)
             for worker in executor._workers:
-                assert worker._shm is not None
-                assert worker._num_slots > 0
+                assert worker.transport._shm is not None
+                assert worker.transport._num_slots > 0
 
 
 class TestCrashRestartOverShm:
     def test_snapshot_kill_restart_is_bit_identical(self, stream, block):
         serial = build_executor("serial")
         serial.process_stream(block)
-        with build_executor(
-            "process", "shm", chunk_size=64
-        ) as executor:
+        with build_executor("process", chunk_size=64) as executor:
             executor.process_batch(block[:len(block) // 2])
             executor.snapshot()
             # Kill one worker mid-run and restart it from the snapshot.
-            executor._workers[0].process.kill()
-            executor._workers[0].process.join(5.0)
+            executor._workers[0].transport.process.kill()
+            executor._workers[0].transport.process.join(5.0)
             executor.restart_shard(0)
             executor.process_batch(block[len(block) // 2:])
             assert executor.estimate == serial.estimate
 
     def test_close_harvests_over_shm(self, stream):
-        executor = build_executor("process", "shm", chunk_size=64)
+        executor = build_executor("process", chunk_size=64)
         executor.process_stream(stream)
         expected = executor.estimate
         executor.close()
         # Post-close queries answer serially from harvested state, and
         # every slot ring has been released.
         assert executor.estimate == expected
-        assert all(w._shm is None for w in (executor._workers or []) or [])
+        assert all(
+            w.transport._shm is None for w in executor._workers or []
+        )
 
 
 class TestWorkerShmUnit:
@@ -161,7 +151,7 @@ class TestWorkerShmUnit:
         reference = WSD("triangle", 60, GPSHeuristicWeight(), rng=3)
         worker = ShardWorker(
             0, sampler_state_dict(reference), GPSHeuristicWeight(),
-            transport="shm", chunk_hint=32,
+            options=ExecutorOptions(chunk_size=32),
         )
         try:
             local = WSD("triangle", 60, GPSHeuristicWeight(), rng=3)
@@ -178,18 +168,11 @@ class TestWorkerShmUnit:
     def test_slot_ring_released_on_kill(self):
         reference = WSD("triangle", 20, GPSHeuristicWeight(), rng=1)
         worker = ShardWorker(
-            0, sampler_state_dict(reference), GPSHeuristicWeight(),
-            transport="shm",
+            0, sampler_state_dict(reference), GPSHeuristicWeight()
         )
-        name = worker._shm.name
+        name = worker.transport._shm.name
         worker.kill()
-        assert worker._shm is None
+        assert worker.transport._shm is None
         from multiprocessing import shared_memory
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
-
-    def test_bad_transport_rejected(self):
-        reference = WSD("triangle", 20, GPSHeuristicWeight(), rng=1)
-        state = sampler_state_dict(reference)
-        with pytest.raises(Exception):
-            ShardWorker(0, state, GPSHeuristicWeight(), transport="carrier")

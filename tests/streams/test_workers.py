@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.graph.stream import EdgeEvent
 from repro.samplers import GPS, WSD, restore_sampler, sampler_state_dict
+from repro.streams.executor import ExecutorOptions
 from repro.streams.workers import ShardWorker, decode_events, encode_events
 from repro.weights.base import WeightFunction
 from repro.weights.heuristic import GPSHeuristicWeight
@@ -108,8 +109,8 @@ class TestShardWorker:
 
     def test_killed_worker_detected(self):
         worker = ShardWorker(1, sampler_state_dict(fresh_wsd()), GPSHeuristicWeight())
-        worker.process.kill()
-        worker.process.join(5.0)
+        worker.transport.process.kill()
+        worker.transport.process.join(5.0)
         with pytest.raises(WorkerCrashError):
             worker.request("sync")
 
@@ -135,5 +136,5 @@ class TestShardWorker:
         with pytest.raises(ConfigurationError):
             ShardWorker(
                 0, sampler_state_dict(fresh_wsd()), GPSHeuristicWeight(),
-                queue_depth=0,
+                options=ExecutorOptions(queue_depth=0),
             )
