@@ -23,13 +23,14 @@ estimator rule:
   each subclass keeps its own update but inherits the kernel's batched
   driver.
 
-The batched ingestion path (:meth:`ThresholdSamplerKernel.process_batch`)
-generalises the PR-1 WSD fast loop to every threshold sampler: rank
-randomness for a whole batch is pre-drawn in one numpy block
-(``rng.random(n)`` yields the exact doubles of n scalar draws), the
-triangle/wedge estimators are inlined, and the reservoir policy is
-dispatched on a hoisted integer — so estimates stay bit-identical to
-event-at-a-time :meth:`process` under a fixed seed, for all policies.
+Every threshold sampler has one ingestion loop, run by both
+:meth:`ThresholdSamplerKernel.process` and ``process_batch``: the
+triangle/wedge estimators are inlined, the reservoir policy is
+dispatched on hoisted booleans, and a batch's rank uniforms are
+pre-drawn in one numpy block (``rng.random(n)`` yields the exact
+doubles of n scalar draws). Context capture, context-needing weights,
+observers and ranks without ``rank_from_uniform`` send both entry
+points to the per-event reference path, so the two stay bit-identical.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _arena_triangle_delta(wa, wb, threshold: float) -> float:
     pairwise sum, so the value can differ from the scalar path in the
     last float bits (same contribution multiset, different grouping) —
     which is why arena routing is fixed at construction time and both
-    the per-event and the batched path call *this* function.
+    the ingestion loop and the reference deletion call *this* function.
     """
     if threshold > 0.0:
         p = np.minimum(wa / threshold, 1.0)
@@ -189,7 +190,7 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
 
     * ``_policy`` — the batched-loop dispatch code (``KERNEL_WSD`` /
       ``KERNEL_GPS`` / ``KERNEL_GPSA``);
-    * ``_memoize_light`` — whether the per-event light paths use the
+    * ``_memoize_light`` — whether the reference light path uses the
       probability memo (WSD's τq is stable between Case 2 transitions,
       so memoization pays; GPS's r_{M+1} grows on almost every
       full-reservoir event, so entries rarely survive — values are
@@ -216,7 +217,7 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
 
     #: Batched-loop reservoir-policy dispatch; subclasses must override.
     _policy = 0
-    #: Whether the per-event light paths use the probability memo.
+    #: Whether the reference light path uses the probability memo.
     _memoize_light = True
 
     def __init__(
@@ -237,11 +238,11 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
         weight_fn.bind_pattern(self.pattern)
         self.rank_fn = get_rank_function(rank_fn)
         #: Block-serving learned weight (WSD-L fast path), or ``None``.
-        #: When set, insertions bypass both the WeightContext and the
-        #: light_weight paths: the kernels assemble the raw state
-        #: features (instance count, degrees, per-position temporal
-        #: aggregates) inline from summaries the estimator walk already
-        #: produces and call ``state_weight`` per event.
+        #: When set, the ingestion loop bypasses both the WeightContext
+        #: and light_weight: it assembles the raw state features
+        #: (instance count, degrees, per-position temporal aggregates)
+        #: inline from summaries the estimator walk already produces
+        #: and calls ``state_weight`` per event.
         self._learned = (
             weight_fn if getattr(weight_fn, "block_serving", False)
             else None
@@ -325,6 +326,8 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
         #: Weight assigned to the most recent insertion (for diagnostics
         #: and the Figure 2(d)/4(d) weight-vs-count analysis).
         self.last_weight: float | None = None
+        #: The ingestion loop's hoisted setup (see :meth:`_loop_plan`).
+        self._plan: tuple | None = None
 
     # -- threshold bookkeeping ------------------------------------------------
 
@@ -390,11 +393,36 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
 
     # -- event handlers ---------------------------------------------------------
 
+    def process(self, event: EdgeEvent) -> None:
+        """Consume one stream event.
+
+        Runs the loop of :meth:`process_batch` when :meth:`_loop_plan`
+        admits the sampler (one scalar ``rng.random()`` per insertion,
+        the double a one-element numpy block holds), else the reference
+        path ``_process_insertion`` / ``_process_deletion``.
+        """
+        plan = self._loop_plan()
+        if plan is None:
+            SubgraphCountingSampler.process(self, event)
+            return
+        u, v = event.edge
+        if event.op == INSERT:
+            self._run_loop(plan, ((True, u, v),), self.rng.random())
+        else:
+            self._run_loop(plan, ((False, u, v),), None)
+
     def _process_insertion(self, edge: Edge) -> None:
+        """Reference path of one insertion (see :meth:`process`).
+
+        Learned weights take the context branch: ``__call__`` returns
+        the weight ``state_weight`` serves in the loop.
+        """
         u, v = edge
         wf = self.weight_fn
-        if self._capture_context or wf.needs_context or (
-            self._learned is not None and self.instance_observers
+        if (
+            self._capture_context
+            or wf.needs_context
+            or self._learned is not None
         ):
             edge_times = self._edge_times
             instances = list(
@@ -425,225 +453,6 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
             )
             self.last_context = ctx
             weight = float(wf(ctx))
-        elif self._learned is not None:
-            # WSD-L block path, one event: the estimator pass below
-            # produces the state features as a side effect — instance
-            # count, sampled degrees, and the per-position temporal
-            # aggregates of Eq. (20)-(21) — and the frozen policy maps
-            # them to the weight via ``state_weight``. Branch structure,
-            # float operations, and adaptive routing are mirrored
-            # exactly by the batched mega-loop's learned section, which
-            # is what keeps per-event and batched runs bit-identical.
-            lw = self._learned
-            graph = self._sampled_graph
-            adj = graph._adj
-            time_now = self._time
-            threshold = self._threshold
-            use_avg = lw.temporal_aggregation == "avg"
-            nu = adj.get(u)
-            deg_u = len(nu) if nu else 0
-            nv = adj.get(v)
-            deg_v = len(nv) if nv else 0
-            if self._wedge_tracker is not None:
-                # O(1): instance set == incident sampled edges of both
-                # endpoints (the arriving edge is never sampled yet),
-                # so the wedge's temporal features are per-vertex
-                # aggregates from the arrival-time tracker.
-                num_instances = deg_u + deg_v
-                self._estimate += self._wedge_tracker.delta(u, v)
-                if not num_instances:
-                    positions = None
-                elif use_avg:
-                    positions = (
-                        float(self._att.sum_pair(u, v)) / num_instances,
-                        float(time_now),
-                    )
-                else:
-                    positions = (
-                        float(self._att.max_pair(u, v)),
-                        float(time_now),
-                    )
-            elif type(self.pattern) is Triangle:
-                estimate = self._estimate
-                pair = (
-                    graph.common_payloads2(u, v) if self._tri_arena
-                    else None
-                )
-                if pair is not None:
-                    wa, wb, ta, tb = pair
-                    num_instances = len(wa)
-                    if num_instances:
-                        estimate += _arena_triangle_delta(
-                            wa, wb, threshold
-                        )
-                        mins = np.minimum(ta, tb)
-                        maxs = np.maximum(ta, tb)
-                        if use_avg:
-                            positions = (
-                                float(mins.sum()) / num_instances,
-                                float(maxs.sum()) / num_instances,
-                                float(time_now),
-                            )
-                        else:
-                            positions = (
-                                float(mins.max()),
-                                float(maxs.max()),
-                                float(time_now),
-                            )
-                    else:
-                        positions = None
-                else:
-                    num_instances = 0
-                    a1 = a2 = 0  # per-position int sums or maxes
-                    if nu and nv and not nu.isdisjoint(nv):
-                        inline_iu = (
-                            type(self.rank_fn) is InverseUniformRank
-                        )
-                        inc_prob = self.rank_fn.inclusion_probability
-                        cache = self._prob_cache
-                        cache_get = cache.get
-                        weights = self._edge_weights
-                        edge_times = self._edge_times
-                        for w in nu & nv:
-                            num_instances += 1
-                            try:
-                                e1 = (u, w) if u < w else (w, u)
-                                e2 = (v, w) if v < w else (w, v)
-                            except TypeError:
-                                e1 = canonical_edge(u, w)
-                                e2 = canonical_edge(v, w)
-                            t1 = edge_times[e1]
-                            t2 = edge_times[e2]
-                            if t1 > t2:
-                                t1, t2 = t2, t1
-                            if use_avg:
-                                a1 += t1
-                                a2 += t2
-                            else:
-                                if t1 > a1:
-                                    a1 = t1
-                                if t2 > a2:
-                                    a2 = t2
-                            if inline_iu:
-                                if threshold > 0.0:
-                                    p1 = weights[e1] / threshold
-                                    if p1 > 1.0:
-                                        p1 = 1.0
-                                    p2 = weights[e2] / threshold
-                                    if p2 > 1.0:
-                                        p2 = 1.0
-                                    estimate += 1.0 / p1 / p2
-                                else:
-                                    estimate += 1.0
-                            else:
-                                p1 = cache_get(e1)
-                                if p1 is None:
-                                    p1 = inc_prob(weights[e1], threshold)
-                                    cache[e1] = p1
-                                p2 = cache_get(e2)
-                                if p2 is None:
-                                    p2 = inc_prob(weights[e2], threshold)
-                                    cache[e2] = p2
-                                estimate += 1.0 / p1 / p2
-                    if not num_instances:
-                        positions = None
-                    elif use_avg:
-                        positions = (
-                            float(a1) / num_instances,
-                            float(a2) / num_instances,
-                            float(time_now),
-                        )
-                    else:
-                        positions = (
-                            float(a1), float(a2), float(time_now)
-                        )
-                self._estimate = estimate
-            else:
-                # Generic pattern: one fused pass collects the
-                # estimator values and the per-position time
-                # aggregates (all integers, so any accumulation
-                # grouping reproduces the reference matrix exactly).
-                estimate = self._estimate
-                num_instances = 0
-                acc = [0] * (self.pattern.num_edges - 1)
-                inc_prob = self.rank_fn.inclusion_probability
-                cache = self._prob_cache
-                cache_get = cache.get
-                weights = self._edge_weights
-                edge_times = self._edge_times
-                for instance in self.pattern.instances_completed(
-                    graph, u, v
-                ):
-                    num_instances += 1
-                    value = 1.0
-                    times = []
-                    for other in instance:
-                        p = cache_get(other)
-                        if p is None:
-                            p = inc_prob(weights[other], threshold)
-                            cache[other] = p
-                        value /= p
-                        times.append(edge_times[other])
-                    estimate += value
-                    times.sort()
-                    if use_avg:
-                        for j, tv in enumerate(times):
-                            acc[j] += tv
-                    else:
-                        for j, tv in enumerate(times):
-                            if tv > acc[j]:
-                                acc[j] = tv
-                self._estimate = estimate
-                if not num_instances:
-                    positions = None
-                elif use_avg:
-                    positions = [
-                        float(a) / num_instances for a in acc
-                    ]
-                    positions.append(float(time_now))
-                else:
-                    positions = [float(a) for a in acc]
-                    positions.append(float(time_now))
-            weight = lw.state_weight(
-                num_instances, deg_u, deg_v, time_now, positions
-            )
-        elif (
-            self._wedge_tracker is not None and not self.instance_observers
-        ):
-            # Vectorised wedge path: the per-vertex aggregates replace
-            # the per-neighbour loop, and the instance count is just the
-            # degree sum (the arriving edge is never in the sampled
-            # graph, so no tip exclusion is needed).
-            adj = self._sampled_graph._adj
-            nc = adj.get(u)
-            num_instances = len(nc) if nc else 0
-            nc = adj.get(v)
-            if nc:
-                num_instances += len(nc)
-            self._estimate += self._wedge_tracker.delta(u, v)
-            weight = float(
-                wf.light_weight(num_instances, self._sampled_graph, u, v)
-            )
-        elif (
-            self._tri_arena
-            and not self.instance_observers
-            and (pair := self._sampled_graph.common_payloads(u, v))
-            is not None
-        ):
-            # Vectorised triangle path: both endpoints hold arena
-            # slabs, so the common-neighbour weights arrive as two
-            # gathered lanes and the delta is one array expression
-            # (same routing rule and same float grouping as the
-            # batched loop — both call _arena_triangle_delta).
-            wa, wb = pair
-            num_instances = len(wa)
-            if num_instances:
-                self._estimate += _arena_triangle_delta(
-                    wa, wb, self._threshold
-                )
-            weight = float(
-                wf.light_weight(num_instances, self._sampled_graph, u, v)
-            )
         else:
             # Light path: stream the instances, never materialise the
             # context — heuristic weights only need cheap summaries.
@@ -822,7 +631,7 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
         """Return the stored weight of a sampled edge."""
         return self._edge_weights[edge]
 
-    # -- batched ingestion -------------------------------------------------------
+    # -- the ingestion loop ------------------------------------------------------
 
     def process_batch(
         self, events: EventBlock | Iterable[EdgeEvent]
@@ -835,45 +644,56 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
         iterable; results are bit-identical across representations.
 
         Bit-identical to event-at-a-time :meth:`process` under a fixed
-        seed for every reservoir policy: the rank randomness for all
-        insertions is pre-drawn in one numpy block (the exact doubles
-        scalar draws would produce) and the same floating-point
-        operations run in the same order. The hoisted fast loop engages
-        when no context capture is requested, the weight function is
-        context-free, no observers are registered, and the rank family
-        supports ``rank_from_uniform``; otherwise it falls back to the
-        per-event path. If an event raises mid-batch, state reflects the
-        events processed so far but the pre-drawn randomness of the
-        remaining insertions is already consumed.
+        seed: both route to the same loop or reference path, and the
+        batch's uniforms are pre-drawn in one numpy block (the exact
+        doubles of scalar draws). If an event raises mid-batch, the
+        remaining insertions' pre-drawn randomness is still consumed.
         """
         is_block = isinstance(events, EventBlock)
         if not is_block and not isinstance(events, (list, tuple)):
             events = list(events)
-        wf = self.weight_fn
-        fast = (
-            not self._capture_context
-            and not wf.needs_context
-            and not self.instance_observers
-        )
-        if fast:
-            try:
-                rfu = self.rank_fn.rank_from_uniform
-                rfu(1.0, 0.0)
-            except NotImplementedError:
-                fast = False
-        if not fast:
+        plan = self._loop_plan()
+        if plan is None:
             return SubgraphCountingSampler.process_batch(self, events)
-
         if is_block:
             ops, us, vs = events.columns()
             num_insertions = events.num_insertions
         else:
             ops, us, vs = batch_columns(events)
             num_insertions = sum(ops)
+        return self._run_loop(
+            plan, zip(ops, us, vs),
+            self.rng.random(num_insertions) if num_insertions else None,
+        )
 
+    def _loop_plan(self) -> tuple | None:
+        """The loop's hoisted setup, or ``None`` for the reference path.
+
+        Checked on every call: context capture is off, the weight
+        function needs no context and no observers are registered.
+        Settled when the plan is built, once: ``_policy`` is one of the
+        three codes and the rank family has ``rank_from_uniform``. The
+        plan holds dispatch codes, bound methods and containers.
+        """
+        if (
+            self._capture_context
+            or self.weight_fn.needs_context
+            or self.instance_observers
+        ):
+            return None
+        if self._plan is not None:
+            return self._plan
         policy = self._policy
-        # Estimator dispatch: the triangle and wedge enumerations are
-        # inlined below (no generator machinery, no instance tuples);
+        if policy not in (KERNEL_WSD, KERNEL_GPS, KERNEL_GPSA):
+            return None
+        try:
+            rfu = self.rank_fn.rank_from_uniform
+            rfu(1.0, 0.0)
+        except NotImplementedError:
+            return None
+        wf = self.weight_fn
+        # Estimator dispatch: the loop inlines the triangle and wedge
+        # enumerations (no generator machinery, no instance tuples);
         # other patterns go through ``instances_completed``. The inlined
         # loops visit the same instances in the same order with the same
         # floating-point operations, so estimates stay bit-identical.
@@ -894,20 +714,84 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
         elif type(wf) is UniformWeight:
             wmode = 2
             w_offset = 1.0
+        inline_iu = type(self.rank_fn) is InverseUniformRank
+        graph = self._sampled_graph
+        reservoir = self._reservoir
+        # Policy dispatch hoisted to plain booleans (one truth test per
+        # event instead of repeated integer comparisons).
+        is_wsd = policy == KERNEL_WSD
+        is_gps = policy == KERNEL_GPS
+        # Wedge-delta aggregates: when present (wedge pattern +
+        # inverse-uniform ranks) the mode-2 estimator is O(1) per event
+        # and the tracker is maintained inline at every sampled-graph
+        # mutation and threshold change.
+        wt = self._wedge_tracker
+        wt_hooks = (
+            (None,) * 4 if wt is None
+            else (wt.add, wt.remove, wt.raise_threshold, wt.delta)
+        )
+        # WSD-L block serving: ``lw_sw`` evaluates the frozen policy on
+        # the state features the estimator pass assembles inline; the
+        # arrival-time tracker (wedge) and the arena's time lane (``cp2``,
+        # triangle) supply the temporal aggregates in O(1)/vectorised form.
+        lw = self._learned
+        att = self._att
+        att_hooks = (
+            (None,) * 4 if att is None
+            else (att.add, att.remove, att.max_pair, att.sum_pair)
+        )
+        self._plan = (
+            mode, wmode, w_slope, w_offset, inline_iu, rfu, is_wsd, is_gps,
+            None if is_wsd or is_gps else self._tagged,
+            self.pattern.instances_completed, wf.light_weight,
+            self.rank_fn.inclusion_probability, canonical_edge,
+            graph, graph._adj, graph._interner.intern,
+            graph._note_add, graph._note_remove,
+            graph.common_payloads if self._tri_arena else None,
+            graph.common_payloads2 if self._tri_arena and lw else None,
+            _arena_triangle_delta, reservoir._position, reservoir._heap,
+            reservoir.push, reservoir.replace_min, reservoir.remove,
+            self._prob_cache, self._prob_cache.get, self._edge_weights,
+            self._edge_times, self.budget, wt, *wt_hooks,
+            None if lw is None else lw.state_weight,
+            lw is not None and lw.temporal_aggregation == "avg",
+            self.pattern.num_edges - 1, *att_hooks,
+        )
+        return self._plan
 
-        # Pre-draw one uniform per insertion in a single numpy block.
+    def __getstate__(self) -> dict:
+        # A copy builds its own loop plan: the plan holds builtin bound
+        # methods, which copy.deepcopy would share with the original.
+        return {**self.__dict__, "_plan": None}
+
+    def _run_loop(self, plan: tuple, rows, uniforms) -> float:
+        """The ingestion loop over ``(is_insert, u, v)`` rows.
+
+        ``uniforms``: a batch's numpy block, :meth:`process`'s scalar
+        draw, or ``None`` when there are no insertions.
+        """
+        (
+            mode, wmode, w_slope, w_offset, inline_iu, rfu, is_wsd, is_gps,
+            tagged, instances_completed, light_weight, inc_prob, canonical,
+            graph, adj, intern, note_add, note_remove, cp, cp2, tri_delta,
+            res_positions, res_heap, res_push, res_replace_min, res_remove,
+            cache, cache_get, weights, edge_times, budget, wt, wt_add,
+            wt_remove, wt_raise, wt_delta, lw_sw, lw_avg, h_other,
+            att_add, att_remove, att_max_pair, att_sum_pair,
+        ) = plan
         # For the inverse-uniform family the 1-u mapping to (0, 1] is
         # done vectorised, as are the ranks of zero-instance insertions
         # (whose weight is the constant ``w_offset``) — all the same
         # IEEE operations the scalar path performs, element by element.
-        uniforms = (
-            self.rng.random(num_insertions) if num_insertions else None
-        )
-        inline_iu = type(self.rank_fn) is InverseUniformRank
-        denominators = base_ranks = None
+        denominators = base_ranks = next_uniform = None
         ui = 0
-        next_uniform = iter(()).__next__
-        if uniforms is not None:
+        if type(uniforms) is float:
+            if inline_iu:
+                denominators = (1.0 - uniforms,)
+                base_ranks = (w_offset / denominators[0],)
+            else:
+                next_uniform = iter((uniforms,)).__next__
+        elif uniforms is not None:
             if inline_iu:
                 block = 1.0 - uniforms
                 denominators = block.tolist()
@@ -915,51 +799,15 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
                     base_ranks = (w_offset / block).tolist()
             else:
                 next_uniform = iter(uniforms.tolist()).__next__
-
-        # Hoisted hot-loop state. Plain floats/ints are tracked locally
-        # and written back in ``finally``; containers are aliased.
-        instances_completed = self.pattern.instances_completed
-        light_weight = wf.light_weight
-        inc_prob = self.rank_fn.inclusion_probability
-        canonical = canonical_edge
-        graph = self._sampled_graph
-        adj = graph._adj
-        intern = graph._interner.intern
-        reservoir = self._reservoir
-        res_positions = reservoir._position
-        res_heap = reservoir._heap
-        res_push = reservoir.push
-        res_replace_min = reservoir.replace_min
-        res_remove = reservoir.remove
-        cache = self._prob_cache
-        cache_get = cache.get
-        weights = self._edge_weights
-        edge_times = self._edge_times
-        budget = self.budget
+        # Plain floats/ints are tracked locally and written back in
+        # ``finally``.
         res_size = len(res_positions)
         estimate = self._estimate
         time_now = self._time
         threshold = self._threshold
         generation = self._threshold_generation
         weight = self.last_weight
-        # Policy dispatch hoisted to plain booleans (one truth test per
-        # event instead of repeated integer comparisons).
-        is_wsd = policy == KERNEL_WSD
-        is_gps = policy == KERNEL_GPS
         tau_p = self._tau_p if is_wsd else 0.0
-        tagged = None if is_wsd or is_gps else self._tagged
-        # Wedge-delta aggregates: when present (wedge pattern +
-        # inverse-uniform ranks) the mode-2 estimator is O(1) per event
-        # and the tracker is maintained inline at every sampled-graph
-        # mutation and threshold change below.
-        wt = self._wedge_tracker
-        if wt is not None:
-            wt_add = wt.add
-            wt_remove = wt.remove
-            wt_raise = wt.raise_threshold
-            wt_delta = wt.delta
-        else:
-            wt_add = wt_remove = wt_raise = wt_delta = None
         # Arena hooks: ``note_add`` / ``note_remove`` mirror the inlined
         # sampled-graph mutations into the sorted slabs (cheap dict
         # probes when no endpoint is slabbed), and ``cp`` gathers the
@@ -971,43 +819,15 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
         # and the maintenance hooks. Additions must also fire on a
         # cutoff crossing (the *first* slab), hence the degree test at
         # the add sites; removals can only matter once a slab exists.
+        # ``enable_arena`` may create the arena or move the cutoff after
+        # the plan is built, so both are read on every call.
         arena = graph._arena
-        if arena is not None:
-            note_add = graph._note_add
-            note_remove = graph._note_remove
-            arena_slabs = arena._slabs
-            slab_cut = graph._slab_cutoff
-        else:
+        arena_slabs = None if arena is None else arena._slabs
+        slab_cut = graph._slab_cutoff
+        if arena is None:
             note_add = note_remove = None
-            arena_slabs = None
-            slab_cut = 0
-        cp = graph.common_payloads if self._tri_arena else None
-        tri_delta = _arena_triangle_delta
-        # WSD-L block serving: ``lw_sw`` evaluates the frozen policy on
-        # the state features the estimator pass assembles inline; the
-        # arrival-time tracker (wedge) and the arena's time lane
-        # (triangle) supply the temporal aggregates in O(1)/vectorised
-        # form. All hooks mirror the per-event learned branch exactly.
-        lw = self._learned
-        lw_sw = lw.state_weight if lw is not None else None
-        lw_avg = lw is not None and lw.temporal_aggregation == "avg"
-        h_other = self.pattern.num_edges - 1
-        att = self._att
-        if att is not None:
-            att_add = att.add
-            att_remove = att.remove
-            att_max_pair = att.max_pair
-            att_sum_pair = att.sum_pair
-        else:
-            att_add = att_remove = att_max_pair = att_sum_pair = None
-        cp2 = (
-            graph.common_payloads2
-            if (self._tri_arena and lw is not None)
-            else None
-        )
-
         try:
-            for is_ins, u, v in zip(ops, us, vs):
+            for is_ins, u, v in rows:
                 time_now += 1
                 edge = (u, v)
                 if is_ins:
@@ -1721,7 +1541,7 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
             self._threshold = threshold
             self._threshold_generation = generation
             self.last_weight = weight
-            if policy == KERNEL_WSD:
+            if is_wsd:
                 self._tau_p = tau_p
         return estimate
 

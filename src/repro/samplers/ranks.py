@@ -37,13 +37,15 @@ class RankFunction(abc.ABC):
         """Return the rank for ``weight`` from one raw uniform draw.
 
         ``u`` is a value from ``rng.random()`` (i.e. in [0, 1)). Rank
-        families that implement this let the samplers pre-draw
-        randomness in numpy blocks (``rng.random(n)`` yields the exact
-        doubles of n scalar draws), which is the batched-ingestion fast
-        path; :meth:`rank` must then equal
+        families that implement this admit the threshold samplers'
+        ingestion loop, which pre-draws a batch's randomness in one
+        numpy block (``rng.random(n)`` yields the exact doubles of n
+        scalar draws) and a single event's with one scalar draw;
+        :meth:`rank` must then equal
         ``rank_from_uniform(weight, rng.random())`` bit for bit.
         Families without a closed form may leave this unimplemented —
-        the samplers fall back to per-event :meth:`rank` draws.
+        the samplers then take the per-event reference path, which
+        draws through :meth:`rank`.
         """
         raise NotImplementedError
 

@@ -67,8 +67,10 @@ from repro.streams.codec import (
     validate_host_request,
 )
 from repro.streams.transport import (
+    DEFAULT_MAX_FRAME_BYTES,
     FRAME_BLOCK,
     FRAME_CONTROL,
+    FRAME_HEADER_SIZE,
     FRAME_HEARTBEAT,
     FRAME_HELLO,
     FrameAuth,
@@ -87,6 +89,9 @@ __all__ = ["HostAgent", "spawn_local_host", "main"]
 
 #: Accept-loop poll granularity; bounds how long shutdown() can lag.
 _ACCEPT_POLL_SECONDS = 0.2
+
+#: How long a rejected connection is drained after the error reply.
+_DRAIN_SECONDS = 0.5
 
 
 def _send_control(
@@ -217,6 +222,7 @@ class HostAgent:
             # Report the failure on the wire if the socket still works;
             # either way the lease (and its replica) ends here.
             self._report_error(conn, exc, auth)
+            self._drain(conn)
         finally:
             with self._lock:
                 self._sessions.discard(conn)
@@ -339,6 +345,31 @@ class HostAgent:
                 auth,
             )
         except OSError:  # the connection itself is gone
+            pass
+
+    def _drain(self, conn: socket.socket) -> None:
+        """Half-close, then read what the peer already sent.
+
+        A frame rejected on its header leaves its payload unread, and
+        closing a socket with unread input sends a reset that can
+        overtake the error reply. Draining — bounded by the frame cap
+        and by :data:`_DRAIN_SECONDS` — lets the close end in a FIN.
+        """
+        cap = self._max_frame_bytes or DEFAULT_MAX_FRAME_BYTES
+        left = FRAME_HEADER_SIZE + cap
+        deadline = time.monotonic() + _DRAIN_SECONDS
+        try:
+            conn.shutdown(socket.SHUT_WR)
+            while left > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                conn.settimeout(remaining)
+                chunk = conn.recv(min(left, 65536))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:  # timed out, reset, or closed by shutdown()
             pass
 
 

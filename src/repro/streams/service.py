@@ -148,6 +148,28 @@ def _validate_stream_name(name: str) -> None:
         )
 
 
+def _validate_wal_limits(
+    limit: int, spill: int | None, hard_limit: int | None
+) -> None:
+    """The WAL bounds' rules, shared by the service and its sessions."""
+    if limit < 1:
+        raise ConfigurationError("wal_limit_events must be >= 1")
+    if spill is not None and spill < 1:
+        raise ConfigurationError(
+            "wal_spill_events must be >= 1 (or None to disable)"
+        )
+    if hard_limit is not None:
+        if hard_limit < 1:
+            raise ConfigurationError(
+                "wal_hard_limit_events must be >= 1 (or None)"
+            )
+        if spill is not None and hard_limit <= spill:
+            raise ConfigurationError(
+                "wal_hard_limit_events must exceed wal_spill_events "
+                f"({hard_limit} <= {spill})"
+            )
+
+
 def _quarantine_file(directory: Path, path: Path, reason: str) -> Path | None:
     """Move a corrupt persisted file into ``<stream dir>/quarantine/``.
 
@@ -376,7 +398,6 @@ class StreamSession:
         *,
         options: ExecutorOptions | None = None,
         state_dir: str | Path | None = None,
-        auto_restart: bool = True,
         wal_limit_events: int = DEFAULT_WAL_LIMIT,
         wal_spill_events: int | None = None,
         wal_hard_limit_events: int | None = None,
@@ -394,29 +415,12 @@ class StreamSession:
                 "track_local requires the serial executor backend (the "
                 "local counter observes replica instances in-process)"
             )
-        if wal_limit_events < 1:
-            raise ConfigurationError("wal_limit_events must be >= 1")
-        if wal_spill_events is not None and wal_spill_events < 1:
-            raise ConfigurationError(
-                "wal_spill_events must be >= 1 (or None to disable)"
-            )
-        if wal_hard_limit_events is not None:
-            if wal_hard_limit_events < 1:
-                raise ConfigurationError(
-                    "wal_hard_limit_events must be >= 1 (or None)"
-                )
-            if (
-                wal_spill_events is not None
-                and wal_hard_limit_events <= wal_spill_events
-            ):
-                raise ConfigurationError(
-                    "wal_hard_limit_events must exceed wal_spill_events "
-                    f"({wal_hard_limit_events} <= {wal_spill_events})"
-                )
+        _validate_wal_limits(
+            wal_limit_events, wal_spill_events, wal_hard_limit_events
+        )
         self.name = name
         self.config = config
         self.options = options
-        self.auto_restart = auto_restart
         self._wal_limit = int(wal_limit_events)
         self._wal_spill = (
             None if wal_spill_events is None else int(wal_spill_events)
@@ -607,9 +611,6 @@ class StreamSession:
         :class:`~repro.errors.ShardUnrecoverableError` — determinism
         included: a fixed fault sequence escalates at a fixed point.
         """
-        if not self.auto_restart:
-            raise exc
-
         def attempt(error) -> None:
             index = getattr(error, "shard_index", None)
             if not isinstance(index, int) or not (
@@ -924,7 +925,6 @@ class StreamSession:
         state_dir: str | Path,
         *,
         options: ExecutorOptions | None = None,
-        auto_restart: bool = True,
         wal_limit_events: int = DEFAULT_WAL_LIMIT,
         wal_spill_events: int | None = None,
         wal_hard_limit_events: int | None = None,
@@ -977,7 +977,6 @@ class StreamSession:
                 config,
                 options=options if options is not None else manifest_options,
                 state_dir=state_dir,
-                auto_restart=auto_restart,
                 wal_limit_events=wal_limit_events,
                 wal_spill_events=wal_spill_events,
                 wal_hard_limit_events=wal_hard_limit_events,
@@ -1212,7 +1211,6 @@ class ServiceConfig:
     checkpoint_interval: float | None = 30.0
     executor: ExecutorOptions = field(default_factory=ExecutorOptions)
     wal_limit_events: int = DEFAULT_WAL_LIMIT
-    auto_restart: bool = True
     wal_spill_events: int | None = None
     wal_hard_limit_events: int | None = None
     heartbeat_timeout: float | None = None
@@ -1224,19 +1222,11 @@ class ServiceConfig:
             raise ConfigurationError(
                 "checkpoint_interval must be > 0 (or None to disable)"
             )
-        if self.wal_limit_events < 1:
-            raise ConfigurationError("wal_limit_events must be >= 1")
-        if self.wal_spill_events is not None and self.wal_spill_events < 1:
-            raise ConfigurationError(
-                "wal_spill_events must be >= 1 (or None)"
-            )
-        if (
-            self.wal_hard_limit_events is not None
-            and self.wal_hard_limit_events < 1
-        ):
-            raise ConfigurationError(
-                "wal_hard_limit_events must be >= 1 (or None)"
-            )
+        _validate_wal_limits(
+            self.wal_limit_events,
+            self.wal_spill_events,
+            self.wal_hard_limit_events,
+        )
         if (
             self.heartbeat_timeout is not None
             and not self.heartbeat_timeout > 0
@@ -1283,7 +1273,6 @@ class CountingService:
                 self._sessions[child.name] = StreamSession.restore(
                     child.name,
                     root,
-                    auto_restart=self.config.auto_restart,
                     wal_limit_events=self.config.wal_limit_events,
                     wal_spill_events=self.config.wal_spill_events,
                     wal_hard_limit_events=self.config.wal_hard_limit_events,
@@ -1315,7 +1304,6 @@ class CountingService:
                 config,
                 options=options if options is not None else self.config.executor,
                 state_dir=self.config.state_dir,
-                auto_restart=self.config.auto_restart,
                 wal_limit_events=self.config.wal_limit_events,
                 wal_spill_events=self.config.wal_spill_events,
                 wal_hard_limit_events=self.config.wal_hard_limit_events,

@@ -245,13 +245,7 @@ def _exchange(address: str, blob: bytes) -> list[tuple[int, bytes]]:
     replies = []
     with socket.create_connection((host, port), timeout=10.0) as sock:
         sock.sendall(blob)
-        try:
-            sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            # A peer that rejects at the header closes with our payload
-            # unread, so its reset can land first; the reply it sent
-            # before closing is still buffered for the reads below.
-            pass
+        sock.shutdown(socket.SHUT_WR)
         while True:
             try:
                 frame = read_frame(sock, deadline=deadline)
@@ -309,6 +303,21 @@ class TestWireRejection:
             host_agent.address, _raw_hello(99, "coordinator")
         )
         assert "protocol version" in _error_text(replies)
+
+    def test_host_rejection_ends_in_eof_not_reset(self, host_agent):
+        # The HELLO is rejected on its header, so its payload is still
+        # unread when the agent is done: the agent must drain it before
+        # closing, or the kernel's reset overtakes the error reply.
+        host, port = parse_address(host_agent.address)
+        for _ in range(3):
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(_raw_hello(99, "coordinator"))
+                sock.shutdown(socket.SHUT_WR)
+                deadline = time.monotonic() + 10.0
+                kind, payload = read_frame(sock, deadline=deadline)
+                assert kind == FRAME_CONTROL
+                assert decode(payload)[0] == "error"
+                assert read_frame(sock, deadline=deadline) is None
 
     def test_host_rejects_unknown_weight_spec(self, host_agent):
         from repro.samplers.checkpoint import state_to_wire

@@ -179,3 +179,13 @@ class TestHardLimit:
                 wal_spill_events=100,
                 wal_hard_limit_events=100,
             )
+
+    def test_service_config_applies_the_session_rules(self):
+        from repro.errors import ConfigurationError
+        from repro.streams.service import ServiceConfig
+
+        # The service refuses what every session would refuse; else it
+        # boots, then fails every create_stream (or a state dir's boot).
+        config = ServiceConfig(wal_spill_events=100, wal_hard_limit_events=50)
+        with pytest.raises(ConfigurationError, match="exceed"):
+            config.validate()

@@ -6,6 +6,9 @@ machinery, and inherits the kernel's batched fast paths — the
 per-sampler modules contribute only reservoir policy.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import SamplerError
@@ -151,3 +154,76 @@ class TestSharedBehaviour:
         assert sorted(map(repr, one.sampled_edges())) == sorted(
             map(repr, two.sampled_edges())
         )
+
+
+class TestRouting:
+    """``process(e)`` runs the ingestion loop unless a reference-path
+    condition holds; both entry points route the same way."""
+
+    def test_unknown_policy_raises_on_both_entry_points(self):
+        class UnknownPolicy(ThresholdSamplerKernel):
+            _policy = 99
+
+            def _process_deletion(self, edge):  # pragma: no cover
+                pass
+
+        for feed in ("process", "process_batch"):
+            kernel = UnknownPolicy("triangle", 10, UniformWeight(), rng=0)
+            event = EdgeEvent.insertion(1, 2)
+            with pytest.raises(NotImplementedError):
+                if feed == "process":
+                    kernel.process(event)
+                else:
+                    kernel.process_batch([event])
+
+    def test_loop_then_reference_then_batches(self):
+        # 40 vertices: no vertex can reach the arena's slab degree, so
+        # the reference path's scalar sums group like the loop's.
+        events = dynamic_stream(900, num_vertices=40, seed=11)
+        one = WSD("triangle", 60, GPSHeuristicWeight(), rng=5)
+        twin = WSD("triangle", 60, GPSHeuristicWeight(), rng=5)
+
+        def state(s):
+            return (
+                s.estimate, s.threshold, s.tau_p, s.time,
+                sorted(s._reservoir.items()),
+            )
+
+        for event in events[:300]:
+            one.process(event)
+        assert one._loop_plan() is not None
+        twin.process_batch(events[:300])
+        assert state(one) == state(twin)
+
+        seen = []
+        one.instance_observers.append(
+            lambda trigger, instance, value: seen.append(value)
+        )
+        assert one._loop_plan() is None
+        start = one.estimate
+        for event in events[300:600]:
+            one.process(event)
+        one.instance_observers.clear()
+        assert seen
+        assert sum(seen) == pytest.approx(one.estimate - start, rel=1e-12)
+        twin.process_batch(events[300:600])
+        assert state(one) == state(twin)
+
+        for i in range(600, len(events), 128):
+            one.process_batch(events[i:i + 128])
+        twin.process_batch(events[600:])
+        assert state(one) == state(twin)
+
+    def test_copies_mid_stream_continue_bit_identically(self):
+        # Exponential ranks keep the wedge loop on the probability memo,
+        # which a copy must not share with the original.
+        events = dynamic_stream(900, num_vertices=40, seed=11)
+        one = WSD(
+            "wedge", 60, GPSHeuristicWeight(), rank_fn="exponential", rng=5
+        )
+        for event in events[:450]:
+            one.process(event)
+        copies = [copy.deepcopy(one), pickle.loads(pickle.dumps(one))]
+        for sampler in [one, *copies]:
+            sampler.process_batch(events[450:])
+        assert [c.estimate for c in copies] == [one.estimate] * 2
