@@ -2,10 +2,10 @@
 
 Runs one :class:`~repro.streams.fuzz.FuzzPlan` per seed against a live
 service front and a live host agent (same process, real sockets) and
-FAILS if any case ends outside the contract — a hang, an unhandled
-exception on a server thread, an over-cap allocation, or a clean
-control cell whose result is not bit-identical to the in-process
-reference. Every failure prints its reproducing seed:
+FAILS if any case ends outside the contract — a hang, a connection
+reset, an unhandled exception on a server thread, an over-cap
+allocation, or a clean control cell whose result is not bit-identical
+to the in-process reference. Every failure prints its reproducing seed:
 ``FuzzPlan.from_seed(seed, targets).wire_bytes()`` rebuilds the exact
 hostile byte stream anywhere.
 

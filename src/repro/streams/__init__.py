@@ -8,12 +8,7 @@ from repro.streams.executor import (
     vectorized_edge_hash,
 )
 from repro.streams.transport import ShardTransport, TcpShardTransport
-from repro.streams.workers import (
-    ProcessShardTransport,
-    ShardWorker,
-    decode_events,
-    encode_events,
-)
+from repro.streams.workers import ProcessShardTransport, ShardWorker
 from repro.streams.faults import Fault, FaultPlan
 from repro.streams.scenarios import (
     build_stream,
@@ -83,8 +78,6 @@ __all__ = [
     "partition_block",
     "partition_events",
     "vectorized_edge_hash",
-    "encode_events",
-    "decode_events",
     "RecoveryPolicy",
     "ShardSupervisor",
     "DEFAULT_RECOVERY_POLICY",

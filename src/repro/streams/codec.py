@@ -1,14 +1,16 @@
 """RSX2: the self-describing binary codec for control payloads.
 
-Protocol version 2 retires :mod:`pickle` from every byte that crosses a
+Protocol version 2 retired :mod:`pickle` from every byte that crosses a
 socket or touches a disk. CONTROL frames, host-agent leases and
 replies, and write-ahead-log spill segments all carry payloads encoded
 here instead: a small tagged format (stdlib ``struct`` only) that can
 express exactly the value shapes the control protocols need — ``None``,
 booleans, 64-bit and big integers, floats, UTF-8 strings, bytes,
 lists, tuples, string/int-keyed dicts, plus two domain values,
-:class:`~repro.graph.stream.EdgeEvent` and
-:class:`~repro.graph.stream.EventBlock` — and nothing else. Decoding
+:class:`~repro.graph.stream.EventBlock` (the one event form on the
+wire since protocol version 3) and
+:class:`~repro.graph.stream.EdgeEvent` (read back from WAL segments
+that protocol-2 builds wrote) — and nothing else. Decoding
 hostile bytes can therefore produce a value or a typed
 :class:`~repro.errors.ProtocolError`; it can never execute code, and
 hard limits make it unable to amplify: a declared container count is
@@ -358,9 +360,9 @@ def wal_to_wire(entries: list) -> bytes:
     """Frame one WAL spill segment: header + CRC + RSX2 entry list.
 
     Each entry is what the session's in-memory WAL holds — an
-    :class:`EventBlock` or a list of :class:`EdgeEvent` — encoded with
-    the control codec, so segments read back through the same typed,
-    bounded decode path as network frames.
+    :class:`EventBlock` — encoded with the control codec, so segments
+    read back through the same typed, bounded decode path as network
+    frames.
     """
     payload = encode(list(entries))
     header = _WAL_HEADER.pack(
@@ -375,7 +377,8 @@ def wal_from_wire(blob: bytes) -> list:
     Every corruption mode a disk can produce — zero-length file,
     truncation, bit flip, wrong format — raises
     :class:`~repro.errors.ProtocolError` so the caller can quarantine
-    the segment instead of crashing on garbage.
+    the segment instead of crashing on garbage. Entries are blocks, or
+    :class:`EdgeEvent` lists in segments that protocol-2 builds wrote.
     """
     blob = bytes(blob)
     if len(blob) < _WAL_HEADER.size:
@@ -498,7 +501,7 @@ def validate_weight_spec(spec, front: str = "lease"):
     return spec
 
 
-HOST_REQUEST_OPS = ("lease", "batch", "sync", "snapshot", "stop")
+HOST_REQUEST_OPS = ("lease", "sync", "snapshot", "stop")
 HOST_REPLY_OPS = ("lease", "sync", "snapshot", "stop", "error")
 SERVICE_REQUEST_OPS = (
     "create", "attach", "ingest", "query", "checkpoint", "streams"
@@ -522,26 +525,6 @@ def validate_host_request(message) -> tuple:
         if not isinstance(state_wire, bytes) or not state_wire:
             raise _fail(front, "lease state is not non-empty bytes")
         validate_weight_spec(spec, front)
-        return message
-    if op == "batch":
-        if len(message) != 2:
-            raise _fail(front, f"batch has {len(message)} fields, not 2")
-        payload = message[1]
-        if not isinstance(payload, (list, tuple)):
-            raise _fail(front, "batch payload is not a sequence")
-        for item in payload:
-            if not (isinstance(item, tuple) and len(item) == 3):
-                raise _fail(front, "batch item is not a 3-tuple")
-            is_insertion, u, v = item
-            if not isinstance(is_insertion, bool):
-                raise _fail(front, "batch item op flag is not a bool")
-            for label in (u, v):
-                if isinstance(label, bool) or not isinstance(
-                    label, (int, str)
-                ):
-                    raise _fail(
-                        front, "batch vertex label is not int or str"
-                    )
         return message
     if op in ("sync", "snapshot", "stop"):
         if len(message) != 2:
@@ -612,12 +595,8 @@ def validate_service_request(message) -> tuple:
     elif op == "ingest":
         if len(message) != 3:
             raise _fail(front, f"ingest has {len(message)} fields, not 3")
-        events = message[2]
-        if not isinstance(events, (list, tuple)):
-            raise _fail(front, "ingest payload is not a sequence")
-        for event in events:
-            if not isinstance(event, EdgeEvent):
-                raise _fail(front, "ingest entry is not an EdgeEvent")
+        if not isinstance(message[2], EventBlock):
+            raise _fail(front, "ingest payload is not an EventBlock")
     elif op == "query":
         if len(message) != 4:
             raise _fail(front, f"query has {len(message)} fields, not 4")

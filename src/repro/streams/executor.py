@@ -27,10 +27,11 @@ Both modes run under any of three **backends**, chosen by
 ``ExecutorOptions(backend=...)``:
 
 * ``"serial"`` — every replica lives in this process and is driven
-  inline (zero overhead, no parallelism).
+  inline (zero overhead, no parallelism); any hashable vertex label.
 * ``"process"`` — every replica runs in its own worker process
-  (:mod:`repro.streams.workers`), fed event chunks over a bounded
-  queue so ingestion pipelines with the parent's stream iteration.
+  (:mod:`repro.streams.workers`), fed int64 event blocks
+  (:func:`as_event_block`) over a bounded queue so ingestion
+  pipelines with the parent's stream iteration.
   Replicas are still *constructed* in the parent and shipped as
   checkpoints, so a process run consumes exactly the randomness of the
   serial run: **under fixed seeds the two backends produce identical
@@ -68,11 +69,12 @@ from repro.graph.edges import Edge
 from repro.graph.stream import EdgeEvent, EdgeStream, EventBlock
 from repro.samplers.base import SubgraphCountingSampler
 from repro.samplers.checkpoint import restore_sampler, sampler_state_dict
-from repro.streams.workers import ShardWorker, encode_events
+from repro.streams.workers import ShardWorker
 
 __all__ = [
     "ExecutorOptions",
     "ShardedStreamExecutor",
+    "as_event_block",
     "default_shard_key",
     "partition_events",
     "partition_block",
@@ -242,14 +244,24 @@ class ExecutorOptions:
         )
 
 
-def _as_block(events: list[EdgeEvent] | EventBlock) -> EventBlock | None:
-    """``events`` as one :class:`EventBlock`; ``None`` for non-int labels."""
+def as_event_block(events: EventBlock | Iterable[EdgeEvent]) -> EventBlock:
+    """``events`` as one :class:`EventBlock`, the only event form that
+    leaves a process (worker queues, sockets, the session WAL).
+
+    Callers convert before anything is sent, logged or applied; a label
+    that does not fit an int64 raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
     if isinstance(events, EventBlock):
         return events
     try:
         return EventBlock.from_events(events)
-    except TypeError:
-        return None
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"{exc}: events cross process, socket and WAL boundaries as "
+            "int64 EventBlocks; map other vertex labels to ints first "
+            "(repro.graph.VertexInterner)"
+        ) from None
 
 
 def default_shard_key(edge: Edge) -> int:
@@ -531,12 +543,13 @@ class ShardedStreamExecutor:
     def _ingest(self, events: list[EdgeEvent] | EventBlock) -> None:
         """Route a batch to the replicas without computing the estimate."""
         if self._uses_workers:
+            block = as_event_block(events)
             self._ensure_workers()
             if self._pending:
                 self._flush_pending()
             chunk_size = self.options.chunk_size
-            for start in range(0, len(events), chunk_size):
-                self._dispatch(events[start:start + chunk_size])
+            for start in range(0, len(block), chunk_size):
+                self._dispatch(block[start:start + chunk_size])
             return
         if self.mode == "partition":
             if isinstance(events, EventBlock):
@@ -555,30 +568,15 @@ class ShardedStreamExecutor:
             for shard in self.shards:
                 shard.process_batch(events)
 
-    def _dispatch(self, events: list[EdgeEvent] | EventBlock) -> None:
+    def _dispatch(self, block: EventBlock) -> None:
         """Ship one chunk to the worker fleet (process/remote backends).
 
-        Chunks travel as :class:`EventBlock` payloads whenever the
-        labels allow it (always, for int-vertex streams); otherwise
-        they fall back to pickled ``(is_insertion, u, v)`` tuples.
-        Either way every replica processes the identical event
-        sequence, so results do not depend on the wire format.
+        Callers convert with :func:`as_event_block` first, so a label
+        that cannot ride an int64 block fails before any replica sees
+        the chunk.
         """
         workers = self._workers
-        block = _as_block(events)
-        if block is None:
-            if self.mode == "partition":
-                buckets = partition_events(
-                    events, self.num_shards, self.shard_key
-                )
-                for worker, bucket in zip(workers, buckets):
-                    if bucket:
-                        worker.send_batch(encode_events(bucket))
-            else:
-                payload = encode_events(events)
-                for worker in workers:
-                    worker.send_batch(payload)
-        elif self.mode == "partition":
+        if self.mode == "partition":
             block_buckets = partition_block(
                 block, self.num_shards, self.shard_key
             )
@@ -592,7 +590,7 @@ class ShardedStreamExecutor:
 
     def _flush_pending(self) -> None:
         pending, self._pending = self._pending, []
-        self._dispatch(pending)
+        self._dispatch(as_event_block(pending))
 
     def ingest(
         self, events: EventBlock | Iterable[EdgeEvent]
@@ -630,15 +628,11 @@ class ShardedStreamExecutor:
         if not self._uses_workers:
             self.shards[index].process_batch(events)
             return
+        block = as_event_block(events)
         self._ensure_workers()
         if self._pending:
             self._flush_pending()
-        worker = self._workers[index]
-        block = _as_block(events)
-        if block is None:
-            worker.send_batch(encode_events(events))
-        else:
-            worker.send_block(block)
+        self._workers[index].send_block(block)
         self._synced = False
 
     def process_batch(

@@ -4,8 +4,9 @@ The hardening contract of the RSX2 control plane is behavioural, not
 aspirational: *any* byte sequence arriving at a listening front — the
 counting service's asyncio server or a shard host agent — must end in
 a typed error reply, a clean close, or normal service. Never a hang,
-never an unhandled exception in a server thread, never an allocation
-sized by an attacker's length field. This module makes that contract
+never a connection reset, never an unhandled exception in a server
+thread, never an allocation sized by an attacker's length field. This
+module makes that contract
 executable the same way :mod:`repro.streams.faults` makes crash
 recovery executable: a :class:`FuzzPlan` is derived entirely from an
 integer seed, so any failure is reproducible from one number.
@@ -46,7 +47,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.graph.stream import INSERT, EdgeEvent, EventBlock
 from repro.samplers.checkpoint import (
     restore_sampler,
@@ -63,6 +64,7 @@ from repro.streams.transport import (
     FRAME_BLOCK,
     FRAME_CONTROL,
     FRAME_HELLO,
+    PROTOCOL_VERSION,
     frame_bytes,
     hello_payload,
     parse_address,
@@ -188,13 +190,14 @@ class FuzzPlan:
             algorithm="WSD-U", budget=64, seed=self.seed % 997
         )
         # Both write paths ride along: the acknowledged control-op
-        # ingest and the fire-and-forget columnar blocks, as three
-        # consecutive BLOCK frames so the server's run of buffered
-        # frames is in play.
+        # ingest of one block and the fire-and-forget columnar blocks,
+        # as three consecutive BLOCK frames so the server's run of
+        # buffered frames is in play.
         blocks = [
             EventBlock.from_events(events[start:start + 8])
             for start in (24, 32, 40)
         ]
+        acked = EventBlock.from_events(events[:24])
         return [
             frame_bytes(FRAME_HELLO, hello_payload("client")),
             frame_bytes(
@@ -209,22 +212,21 @@ class FuzzPlan:
                     )
                 ),
             ),
-            frame_bytes(FRAME_CONTROL, encode(("ingest", 2, events[:24]))),
+            frame_bytes(FRAME_CONTROL, encode(("ingest", 2, acked))),
             *(frame_bytes(FRAME_BLOCK, block.to_bytes()) for block in blocks),
             frame_bytes(FRAME_CONTROL, encode(("query", 3, "estimate", {}))),
         ]
 
     def _host_script(self) -> list[bytes]:
         state = _fresh_state(self.seed)
-        events = _events_for(self.seed)
-        batch = [(event.op == INSERT,) + event.edge for event in events]
+        block = EventBlock.from_events(_events_for(self.seed))
         return [
             frame_bytes(FRAME_HELLO, hello_payload("coordinator")),
             frame_bytes(
                 FRAME_CONTROL,
                 encode(("lease", 0, state_to_wire(state), ("uniform", {}))),
             ),
-            frame_bytes(FRAME_CONTROL, encode(("batch", batch))),
+            frame_bytes(FRAME_BLOCK, block.to_bytes()),
             frame_bytes(FRAME_CONTROL, encode(("sync", 7))),
             frame_bytes(FRAME_CONTROL, encode(("stop", 9))),
         ]
@@ -282,7 +284,7 @@ class FuzzPlan:
                 magic = b"EVIL"
         elif mutation == "bad_version":
             version = rng.choice(
-                [v for v in (0, 1, 3, 99, 255)]
+                (0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 99, 255)
             )
         header = _FRAME_HEADER.pack(magic, version, kind, length)
         frames[index] = header + payload
@@ -305,14 +307,14 @@ class FuzzCase:
     seed: int
     target: str
     mutation: str
-    #: "accepted" | "typed_error" | "clean_close" |
+    #: "accepted" | "typed_error" | "clean_close" | "reset" |
     #: "rejected_handshake" | "hang" | "bit_mismatch" | "dead_front"
     outcome: str
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        """Whether this outcome honours the hardening contract."""
+        """Whether this outcome honours the contract (a reset never does)."""
         if self.mutation == "clean":
             return self.outcome == "accepted"
         return self.outcome in (
@@ -423,6 +425,8 @@ class FuzzHarness:
             with self._connect(target) as sock:
                 try:
                     sock.sendall(blob)
+                except ConnectionResetError:
+                    raise
                 except OSError:
                     # The front already rejected and dropped us while
                     # bytes were still in flight — drain what it said.
@@ -442,11 +446,14 @@ class FuzzHarness:
                         frame = read_frame(sock, deadline=deadline)
                     except TimeoutError:
                         continue
-                    except Exception as exc:
+                    except ProtocolError as exc:
                         return "clean_close", f"reply stream ended: {exc}"
                     if frame is None:
                         break
                     replies.append(frame)
+        except ConnectionResetError as exc:
+            # A reset can overtake the front's error reply: a failure.
+            return "reset", f"connection reset: {exc}"
         except OSError as exc:
             return "clean_close", f"connect/teardown: {exc}"
         return self._classify(replies, sent_all)
@@ -544,9 +551,8 @@ class FuzzHarness:
             state_from_wire(state_to_wire(state)),
             build_weight_fn("uniform", {}),
         )
-        events = _events_for(plan.seed)
-        batch = [(event.op == INSERT,) + event.edge for event in events]
-        handle_shard_message(sampler, ("batch", batch))
+        block = EventBlock.from_events(_events_for(plan.seed))
+        handle_shard_message(sampler, ("block", block.to_bytes()))
         reply, _done = handle_shard_message(sampler, ("sync", 7))
         assert reply[:2] == ("sync", 7)
         expected = reply[3]

@@ -72,11 +72,9 @@ from repro.streams.transport import (
     FRAME_CONTROL,
     FRAME_HEADER_SIZE,
     FRAME_HEARTBEAT,
-    FRAME_HELLO,
     FrameAuth,
+    accept_hello,
     block_from_frame,
-    expect_hello,
-    hello_payload,
     parse_address,
     read_frame,
     write_frame,
@@ -192,29 +190,15 @@ class HostAgent:
             if self._heartbeat_timeout is not None:
                 # Finite socket timeout gives deadline-aware reads
                 # their poll ticks; the per-frame deadline does the
-                # actual idle accounting.
+                # actual idle accounting, the HELLO included.
                 conn.settimeout(min(1.0, self._heartbeat_timeout))
-            if self._static_auth is None:
-                expect_hello(conn, peer="coordinator")
-                write_frame(conn, FRAME_HELLO, hello_payload("host"))
-            else:
-                # The coordinator initiated the connection, so its
-                # nonce comes first in the session-key derivation on
-                # both ends.
-                peer_meta = expect_hello(
-                    conn,
-                    peer="coordinator",
-                    deadline=self._read_deadline(),
-                    auth=self._static_auth,
-                )
-                nonce = FrameAuth.new_nonce()
-                write_frame(
-                    conn,
-                    FRAME_HELLO,
-                    hello_payload("host", nonce=nonce),
-                    self._static_auth,
-                )
-                auth = self._static_auth.derived(peer_meta["nonce"], nonce)
+            hello = read_frame(
+                conn,
+                deadline=self._read_deadline(),
+                max_frame_bytes=self._max_frame_bytes,
+            )
+            reply, auth = accept_hello(hello, "host", auth=self._static_auth)
+            conn.sendall(reply)
             sampler = self._accept_lease(conn, auth)
             if sampler is not None:
                 self._serve_replica(conn, sampler, auth)

@@ -3,11 +3,12 @@
 One wire format serves the whole library: the ``RSX1`` frames of
 :mod:`repro.streams.transport`. A service connection is
 
-1. a HELLO exchange (JSON, version-checked both ways — same rules as
-   the shard transports);
+1. a HELLO exchange (JSON, version- and role-checked both ways by the
+   same handshake code as the shard transports);
 2. CONTROL frames carrying RSX2-encoded ``(op, token, ...)`` requests
    (:mod:`repro.streams.codec` — a self-describing tagged binary
-   format, not pickle) — ``create`` / ``attach`` / ``ingest`` /
+   format, not pickle) — ``create`` / ``attach`` / ``ingest`` (one
+   acknowledged :class:`~repro.graph.stream.EventBlock`) /
    ``query`` / ``checkpoint`` / ``streams`` — answered by
    ``(op, token, value)`` or ``("error", token, traceback_text)``.
    Every decoded request is schema-validated (op whitelist, field
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import json
 import socket
 import threading
 import time
@@ -77,7 +77,7 @@ from repro.streams.codec import (
     validate_service_reply,
     validate_service_request,
 )
-from repro.streams.executor import ExecutorOptions
+from repro.streams.executor import ExecutorOptions, as_event_block
 from repro.streams.queries import run_query
 from repro.streams.service import StreamConfig
 from repro.streams.transport import (
@@ -85,13 +85,11 @@ from repro.streams.transport import (
     FRAME_CONTROL,
     FRAME_HEARTBEAT,
     FRAME_HEADER_SIZE,
-    FRAME_HELLO,
-    PROTOCOL_VERSION,
     FrameAuth,
+    accept_hello,
     block_from_frame,
-    expect_hello,
     frame_bytes,
-    hello_payload,
+    initiate_hello,
     parse_address,
     parse_frame_header,
     read_frame,
@@ -257,31 +255,6 @@ def _ingest_run(
     return shed
 
 
-def _check_hello(frame, auth: FrameAuth | None = None) -> dict:
-    """Server-side HELLO validation (mirrors ``expect_hello``)."""
-    if frame is None:
-        raise ProtocolError("client closed the connection before HELLO")
-    kind, payload = frame
-    if kind != FRAME_HELLO:
-        raise ProtocolError(f"expected HELLO, got frame kind {kind}")
-    if auth is not None:
-        payload = auth.verify(kind, payload)
-    try:
-        meta = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError("malformed HELLO payload") from exc
-    if meta.get("protocol") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"client speaks protocol {meta.get('protocol')!r}, this "
-            f"build speaks {PROTOCOL_VERSION}"
-        )
-    if auth is not None and not meta.get("nonce"):
-        raise ProtocolError(
-            "authenticated HELLO from client carries no nonce"
-        )
-    return meta
-
-
 def _control_reply(
     op: str, token, value, auth: FrameAuth | None = None
 ) -> bytes:
@@ -390,25 +363,10 @@ class StreamIngestServer:
             reader, self._idle_timeout, self._max_frame_bytes
         )
         try:
-            client_meta = _check_hello(
-                await frames.read_frame(), self._static_auth
+            hello, auth = accept_hello(
+                await frames.read_frame(), "service", auth=self._static_auth
             )
-            if self._static_auth is None:
-                writer.write(
-                    frame_bytes(FRAME_HELLO, hello_payload("service"))
-                )
-            else:
-                # The connecting client's nonce comes first in the
-                # session-key derivation on both ends.
-                nonce = FrameAuth.new_nonce()
-                writer.write(
-                    frame_bytes(
-                        FRAME_HELLO,
-                        hello_payload("service", nonce=nonce),
-                        self._static_auth,
-                    )
-                )
-                auth = self._static_auth.derived(client_meta["nonce"], nonce)
+            writer.write(hello)
             await writer.drain()
             while True:
                 frame = await frames.read_frame()
@@ -490,18 +448,17 @@ class StreamIngestServer:
                             "config": session.config.to_dict(),
                         }
                     elif op == "ingest":
-                        # The acknowledged slow path: RSX2-encoded
-                        # event lists, for streams whose labels have no
-                        # columnar encoding.
+                        # The acknowledged write: one block, applied
+                        # before the reply, so overload surfaces here.
                         if session is None:
                             raise ServiceError(
                                 "no stream selected; create or attach first"
                             )
-                        events = list(message[2])
+                        block = message[2]
                         await loop.run_in_executor(
-                            None, session.ingest, events
+                            None, session.ingest, block
                         )
-                        value = len(events)
+                        value = len(block)
                     elif op == "query":
                         _, _, query_kind, query_args = message
                         if session is None:
@@ -652,26 +609,13 @@ class ServiceClient:
             ) from exc
         try:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            deadline = time.monotonic() + connect_timeout
-            peer = f"counting service {address}"
-            if auth_key is None:
-                write_frame(self._sock, FRAME_HELLO, hello_payload("client"))
-                expect_hello(self._sock, peer=peer, deadline=deadline)
-            else:
-                static = FrameAuth(auth_key)
-                nonce = FrameAuth.new_nonce()
-                write_frame(
-                    self._sock,
-                    FRAME_HELLO,
-                    hello_payload("client", nonce=nonce),
-                    static,
-                )
-                meta = expect_hello(
-                    self._sock, peer=peer, deadline=deadline, auth=static
-                )
-                # This end initiated the connection, so its nonce
-                # comes first in the session-key derivation.
-                self._auth = static.derived(nonce, meta["nonce"])
+            self._auth = initiate_hello(
+                self._sock,
+                "client",
+                peer=f"counting service {address}",
+                deadline=time.monotonic() + connect_timeout,
+                auth_key=auth_key,
+            )
             self._sock.settimeout(None)
         except BaseException:
             self._sock.close()
@@ -904,27 +848,22 @@ class ServiceClient:
         self._send_frame(FRAME_BLOCK, block.to_bytes())
 
     def send_events(self, events) -> None:
-        """Push an event batch, columnar when the labels allow it.
+        """Push an event batch as one block, like :meth:`send_block`.
 
-        An :class:`EventBlock` goes out as it is, like :meth:`send_block`.
+        A label that does not fit an int64 raises before any byte is
+        sent (:func:`~repro.streams.executor.as_event_block`).
         """
-        if not isinstance(events, EventBlock):
-            events = list(events)
-            try:
-                events = EventBlock.from_events(events)
-            except TypeError:
-                self._control("ingest", events)
-                return
-        if len(events):
-            self.send_block(events)
+        block = as_event_block(events)
+        if len(block):
+            self.send_block(block)
 
     def ingest(self, events) -> int:
         """Push an event batch and wait for the ack (no pipelining).
 
-        The acknowledged alternative to :meth:`send_events`: overload
-        rejections surface immediately, on this call.
+        The acknowledged alternative to :meth:`send_events` (one block,
+        converted the same way): overload rejections surface here.
         """
-        return self._control("ingest", list(events))
+        return self._control("ingest", as_event_block(events))
 
     # -- read path -----------------------------------------------------------
 

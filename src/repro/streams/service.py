@@ -86,8 +86,8 @@ from repro.streams.codec import wal_from_wire, wal_to_wire
 from repro.streams.executor import (
     ExecutorOptions,
     ShardedStreamExecutor,
+    as_event_block,
     partition_block,
-    partition_events,
 )
 from repro.streams.queries import StreamQueries
 from repro.streams.supervisor import DEFAULT_RECOVERY_POLICY
@@ -244,19 +244,7 @@ def _decode_vertex(pair: list):
     return int(value) if kind == "i" else str(value)
 
 
-def _entry_tail(entry, count: int):
-    """The last ``count`` events of one WAL entry (block or list)."""
-    if isinstance(entry, EventBlock):
-        return EventBlock(
-            entry.is_insert[-count:],
-            entry.u[-count:],
-            entry.v[-count:],
-            canonical=True,
-        )
-    return entry[-count:]
-
-
-def _tail_entries(entries: list, count: int) -> list:
+def _tail_entries(entries: list[EventBlock], count: int) -> list:
     """The suffix of a routed WAL holding exactly ``count`` events."""
     tail: list = []
     need = count
@@ -267,7 +255,7 @@ def _tail_entries(entries: list, count: int) -> list:
             tail.append(entry)
             need -= len(entry)
         else:
-            tail.append(_entry_tail(entry, need))
+            tail.append(entry[-need:])
             need = 0
     tail.reverse()
     return tail
@@ -541,6 +529,10 @@ class StreamSession:
         it. No synchronisation barrier otherwise — worker backends keep
         pipelining until the next read.
 
+        The batch becomes one int64 :class:`EventBlock` first
+        (:func:`~repro.streams.executor.as_event_block`): a label that
+        does not fit raises before anything is logged or applied.
+
         Backpressure (both knobs off by default): past
         ``wal_spill_events`` in-memory events, closed WAL segments
         spill to disk under the stream's state directory (bounding
@@ -551,8 +543,7 @@ class StreamSession:
         retry-after hint. A checkpoint trims the log and ingestion
         resumes.
         """
-        if not isinstance(events, (list, EventBlock)):
-            events = list(events)
+        events = as_event_block(events)
         if not len(events):
             return
         with self._lock:
@@ -676,10 +667,7 @@ class StreamSession:
             return [list(entries) for _ in range(shards)]
         routed: list[list] = [[] for _ in range(shards)]
         for entry in entries:
-            if isinstance(entry, EventBlock):
-                buckets = partition_block(entry, shards, self.executor.shard_key)
-            else:
-                buckets = partition_events(entry, shards, self.executor.shard_key)
+            buckets = partition_block(entry, shards, self.executor.shard_key)
             for index, bucket in enumerate(buckets):
                 routed[index].append(bucket)
         return routed
@@ -1085,7 +1073,8 @@ class StreamSession:
 
         Segments whose base generation matches the restored checkpoint
         are replayed oldest-first through :meth:`ingest` (so routing,
-        recovery, and bit-identity all hold by construction), then a
+        recovery, and bit-identity all hold by construction, and the
+        event lists that protocol-2 builds spilled become blocks), then a
         fresh checkpoint commits the recovered cut and sweeps the spill
         directory. Spill and the hard limit are suspended during the
         replay — these events were already accepted once. Idempotent

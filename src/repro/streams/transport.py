@@ -25,15 +25,16 @@ at the HELLO handshake before any payload is exchanged. Three frame
 kinds carry the whole protocol:
 
 * ``HELLO`` — handshake metadata (JSON), exchanged once per
-  connection in both directions;
+  connection in both directions, version- and role-checked;
 * ``BLOCK`` — one encoded :class:`~repro.graph.stream.EventBlock`
-  (the PR-4 ``write_into``/``from_buffer`` wire format, reused
-  byte-for-byte), with the declared event count cross-checked against
-  the frame length;
+  (the ``write_into``/``from_buffer`` format of the shared-memory
+  transport, reused byte-for-byte), with the declared event count
+  cross-checked against the frame length. Events cross a socket in
+  this form only;
 * ``CONTROL`` — a protocol tuple in the RSX2 control codec
-  (:mod:`repro.streams.codec`): batch chunks for non-int label
-  streams, ``sync``/``snapshot``/``stop`` requests and replies, the
-  initial shard lease, and error reports. Every decoded message is
+  (:mod:`repro.streams.codec`): ``sync``/``snapshot``/``stop``
+  requests and replies, the initial shard lease, and error reports.
+  Every decoded message is
   schema-validated before dispatch, so a well-formed-but-wrong tuple
   is as loud as a corrupt one. Checkpoint states inside control
   tuples travel framed by
@@ -112,8 +113,10 @@ __all__ = [
 #: Version byte carried by every frame; bumped on any incompatible
 #: wire-format change. Mismatches are rejected at handshake, so a
 #: mixed fleet fails closed with a typed error instead of misparsing.
-#: Version 2 retired pickled CONTROL payloads for the RSX2 codec.
-PROTOCOL_VERSION = 2
+#: Version 2 retired pickled CONTROL payloads for the RSX2 codec;
+#: version 3 made EventBlock the only event form (the host ``batch``
+#: op is gone, and a service ``ingest`` carries one block).
+PROTOCOL_VERSION = 3
 
 #: Frame header: magic, protocol version, frame kind, payload length.
 _FRAME_MAGIC = b"RSX1"
@@ -454,6 +457,14 @@ def read_frame(
     return kind, payload
 
 
+#: HELLO roles in pairs: a connection's initiator and the acceptor it
+#: must reach. A peer announcing any other role is the wrong endpoint.
+_HELLO_PEERS = {
+    "coordinator": "host", "host": "coordinator",
+    "client": "service", "service": "client",
+}
+
+
 def hello_payload(role: str, *, nonce: str | None = None) -> bytes:
     """The JSON handshake payload (version is also in every header).
 
@@ -467,23 +478,22 @@ def hello_payload(role: str, *, nonce: str | None = None) -> bytes:
     return json.dumps(meta).encode("utf-8")
 
 
-def expect_hello(
-    sock: socket.socket,
+def check_hello(
+    frame: tuple[int, bytes] | None,
     *,
     peer: str,
-    deadline: float | None = None,
+    role: str,
     auth: FrameAuth | None = None,
 ) -> dict:
-    """Read the peer's HELLO frame; reject anything else.
+    """Validate a HELLO frame already read from ``peer``; return its meta.
 
-    The frame header already carries (and :func:`read_frame` already
-    checks) the version byte, so a cross-version peer is rejected here
-    — at handshake — before any control payload is decoded. With
-    ``auth`` (the *static* key: session keys do not exist before both
-    nonces are known), an unsigned or wrong-keyed HELLO is rejected,
-    and the peer's HELLO must carry a nonce.
+    The reader already checked the header's version byte, so a
+    cross-version peer fails here, at handshake, before any control
+    payload is decoded; so does a peer that does not announce ``role``
+    (the wrong kind of endpoint). With ``auth`` (the *static* key:
+    session keys need both nonces), an unsigned or wrong-keyed HELLO
+    fails, and the HELLO must carry a nonce.
     """
-    frame = read_frame(sock, deadline=deadline, auth=auth)
     if frame is None:
         raise ProtocolError(f"{peer} closed the connection before HELLO")
     kind, payload = frame
@@ -491,14 +501,22 @@ def expect_hello(
         raise ProtocolError(
             f"expected HELLO from {peer}, got frame kind {kind}"
         )
+    if auth is not None:
+        payload = auth.verify(kind, payload)
     try:
         meta = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed HELLO payload from {peer}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        meta = None
+    if not isinstance(meta, dict):
+        raise ProtocolError(f"malformed HELLO payload from {peer}")
     if meta.get("protocol") != PROTOCOL_VERSION:
         raise ProtocolError(
             f"{peer} speaks protocol {meta.get('protocol')!r}, this "
             f"build speaks {PROTOCOL_VERSION}"
+        )
+    if meta.get("role") != role:
+        raise ProtocolError(
+            f"{peer} announced role {meta.get('role')!r}, not {role!r}"
         )
     if auth is not None and not meta.get("nonce"):
         raise ProtocolError(
@@ -506,6 +524,50 @@ def expect_hello(
             "requires one from both ends"
         )
     return meta
+
+
+def expect_hello(
+    sock: socket.socket, *, peer: str, role: str, deadline=None, auth=None
+) -> dict:
+    """Read ``peer``'s HELLO from ``sock`` and :func:`check_hello` it."""
+    frame = read_frame(sock, deadline=deadline)
+    return check_hello(frame, peer=peer, role=role, auth=auth)
+
+
+def initiate_hello(
+    sock: socket.socket, role: str, *, peer: str, deadline=None, auth_key=None
+) -> FrameAuth | None:
+    """The connecting end's handshake; return the session auth.
+
+    Sends a HELLO as ``role`` (``"coordinator"`` or ``"client"``) and
+    checks the acceptor's reply. With ``auth_key`` both HELLOs are
+    signed and carry nonces, and the session key is returned.
+    """
+    static = None if auth_key is None else FrameAuth(auth_key)
+    nonce = None if static is None else FrameAuth.new_nonce()
+    write_frame(sock, FRAME_HELLO, hello_payload(role, nonce=nonce), static)
+    meta = expect_hello(
+        sock, peer=peer, role=_HELLO_PEERS[role], deadline=deadline,
+        auth=static,
+    )
+    # The initiator's nonce comes first in the derivation on both ends.
+    return None if static is None else static.derived(nonce, meta["nonce"])
+
+
+def accept_hello(
+    frame: tuple[int, bytes] | None, role: str, *, auth: FrameAuth | None
+) -> tuple[bytes, FrameAuth | None]:
+    """The accepting end's handshake; return ``(reply, session auth)``.
+
+    ``frame`` is the initiator's first frame, already read; ``role`` is
+    this end's (``"host"`` or ``"service"``) and ``auth`` its static
+    key. ``reply`` is this end's HELLO frame, ready to write.
+    """
+    peer = _HELLO_PEERS[role]
+    meta = check_hello(frame, peer=peer, role=peer, auth=auth)
+    nonce = None if auth is None else FrameAuth.new_nonce()
+    reply = frame_bytes(FRAME_HELLO, hello_payload(role, nonce=nonce), auth)
+    return reply, None if auth is None else auth.derived(meta["nonce"], nonce)
 
 
 def block_from_frame(payload: bytes) -> EventBlock:
@@ -606,31 +668,14 @@ class TcpShardTransport(ShardTransport):
         self._sock = sock
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            handshake_deadline = time.monotonic() + connect_timeout
             sock.settimeout(min(POLL_SECONDS, connect_timeout))
-            if auth_key is None:
-                write_frame(sock, FRAME_HELLO, hello_payload("coordinator"))
-                expect_hello(
-                    sock,
-                    peer=f"shard host {address}",
-                    deadline=handshake_deadline,
-                )
-            else:
-                static = FrameAuth(auth_key)
-                nonce = FrameAuth.new_nonce()
-                write_frame(
-                    sock,
-                    FRAME_HELLO,
-                    hello_payload("coordinator", nonce=nonce),
-                    static,
-                )
-                meta = expect_hello(
-                    sock,
-                    peer=f"shard host {address}",
-                    deadline=handshake_deadline,
-                    auth=static,
-                )
-                self._auth = static.derived(nonce, meta["nonce"])
+            self._auth = initiate_hello(
+                sock,
+                "coordinator",
+                peer=f"shard host {address}",
+                deadline=time.monotonic() + connect_timeout,
+                auth_key=auth_key,
+            )
             self.send(
                 ("lease", shard_index, state_to_wire(state), weight_spec)
             )
@@ -726,9 +771,6 @@ class TcpShardTransport(ShardTransport):
             failure = self._drain_error()
             self._shutdown()
             raise TransportClosed(failure) from None
-
-    def send_block(self, block: EventBlock) -> None:
-        self.send(("block", block.to_bytes()))
 
     def recv(self) -> tuple:
         self._raise_if_lost()

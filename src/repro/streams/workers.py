@@ -24,12 +24,12 @@ rules keep the parallel run *result-identical* to the serial one:
   sampler's columnar fast loop without ever materialising
   :class:`~repro.graph.stream.EdgeEvent` objects. The bounded inbox
   queue still carries the (tiny) ``("batch_shm", slot, nbytes)``
-  control messages, so backpressure and ordering are unchanged.
-  Streams whose vertex labels cannot ride an int64 block fall back,
-  chunk by chunk, to pickled ``(is_insertion, u, v)`` tuples over the
-  queue, and where shared memory is unavailable blocks ride the queue
-  encoded — the event sequence the replica sees is identical either
-  way, so results do not depend on the wire format.
+  control messages, so backpressure and ordering are unchanged. Where
+  shared memory is unavailable blocks ride the queue encoded — the
+  event sequence the replica sees is identical either way, so results
+  do not depend on the wire format. Blocks are the only event form:
+  the executor converts before dispatch and rejects labels that do not
+  fit an int64 (:func:`~repro.streams.executor.as_event_block`).
 * **The weight function ships up front.** Threshold samplers need
   their weight function re-supplied on restore. For the local process
   tier it is pickled in the parent *regardless of start method* so a
@@ -41,9 +41,9 @@ rules keep the parallel run *result-identical* to the serial one:
   the host agent's own registry — no callable ever crosses a socket.
 
 The wire protocol is a strict request/reply sequence per worker:
-``("batch", payload)`` / ``("block", bytes)`` / ``("batch_shm", slot,
-nbytes)`` messages carry event chunks and generate no reply (a bounded
-inbox provides backpressure); ``("sync", token)``, ``("snapshot",
+``("block", bytes)`` / ``("batch_shm", slot, nbytes)`` messages carry
+event chunks and generate no reply (a bounded inbox provides
+backpressure); ``("sync", token)``, ``("snapshot",
 token)`` and ``("stop", token)`` each produce exactly one tagged reply.
 A worker that raises reports ``("error", ...)`` with the formatted
 traceback and exits; the parent surfaces it as
@@ -70,13 +70,12 @@ import queue
 import time
 import traceback
 from collections import deque
-from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.graph.stream import DELETE, INSERT, EdgeEvent, EventBlock
+from repro.graph.stream import EventBlock
 from repro.samplers.checkpoint import restore_sampler, sampler_state_dict
 from repro.streams.transport import (
     POLL_SECONDS,
@@ -98,8 +97,6 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "ShardWorker",
     "ProcessShardTransport",
-    "encode_events",
-    "decode_events",
     "handle_shard_message",
 ]
 
@@ -140,26 +137,6 @@ def _attach_shm(name: str):
         resource_tracker.register = original
 
 
-# -- event wire format --------------------------------------------------------
-
-
-def encode_events(events: Iterable[EdgeEvent]) -> list[tuple]:
-    """Encode events as pickle-cheap ``(is_insertion, u, v)`` tuples."""
-    op_insert = INSERT
-    return [
-        (event.op == op_insert,) + event.edge for event in events
-    ]
-
-
-def decode_events(payload: Iterable[tuple]) -> list[EdgeEvent]:
-    """Rebuild :class:`EdgeEvent` values from :func:`encode_events` output."""
-    insert, delete = INSERT, DELETE
-    return [
-        EdgeEvent(insert if is_insertion else delete, (u, v))
-        for is_insertion, u, v in payload
-    ]
-
-
 # -- replica-side message dispatch --------------------------------------------
 
 
@@ -171,15 +148,13 @@ def handle_shard_message(sampler, message: tuple):
     agent (:mod:`repro.streams.host`) so both tiers process the exact
     same event sequence the exact same way. Returns ``(reply, done)``:
     ``reply`` is the tagged reply tuple to ship back (``None`` for
-    batch messages, which generate no reply) and ``done`` is whether
+    block messages, which generate no reply) and ``done`` is whether
     this message ends the replica's session. Transport-specific
     messages (``"batch_shm"``) are handled by the caller before
     delegating here.
     """
     tag = message[0]
-    if tag == "batch":
-        sampler.process_batch(decode_events(message[1]))
-    elif tag == "block":
+    if tag == "block":
         sampler.process_batch(EventBlock.from_buffer(message[1]))
     elif tag == "sync":
         return ("sync", message[1], sampler.time, sampler.estimate), False
@@ -298,7 +273,7 @@ class ProcessShardTransport(ShardTransport):
         self._outbox = mp_context.Queue()
         # Replies popped while hunting for an error report during a
         # blocked send. The protocol invariant says there should never
-        # be one (batches generate no replies; requests are awaited
+        # be one (event chunks generate no replies; requests are awaited
         # synchronously), but stashing beats silently dropping.
         self._pending: deque[tuple] = deque()
         # -- shared-memory slot ring ------------------------------------
@@ -390,7 +365,7 @@ class ProcessShardTransport(ShardTransport):
                 raise TransportClosed() from None
             except queue.Full:
                 # The only out-of-band traffic a blocked inbox can
-                # coincide with is a failure report (batches produce no
+                # coincide with is a failure report (event chunks produce no
                 # replies, and requests are awaited synchronously).
                 try:
                     self._check_reply(self._outbox.get_nowait())
@@ -637,15 +612,6 @@ class ShardWorker:
             raise self._crash()
 
     # -- protocol ----------------------------------------------------------
-
-    def send_batch(self, payload: Sequence[tuple]) -> None:
-        """Enqueue one encoded event chunk (blocks on backpressure)."""
-        if self._failure is not None:
-            raise self._crash()
-        try:
-            self.transport.send(("batch", payload))
-        except TransportClosed as exc:
-            raise self._closed(exc) from None
 
     def send_block(self, block: EventBlock) -> None:
         """Ship one columnar event chunk (blocks on backpressure)."""

@@ -19,10 +19,11 @@ import time
 import pytest
 
 from repro import build_stream
-from repro.errors import CorruptStateWarning, ServiceError
+from repro.errors import CorruptStateWarning, ProtocolError, ServiceError
 from repro.graph.generators import powerlaw_cluster
 from repro.streams.codec import decode, encode, wal_from_wire
 from repro.streams.host import HostAgent
+from repro.streams.ingest import ServiceClient
 from repro.streams.service import (
     CountingService,
     ServiceConfig,
@@ -318,6 +319,33 @@ class TestWireRejection:
                 assert kind == FRAME_CONTROL
                 assert decode(payload)[0] == "error"
                 assert read_frame(sock, deadline=deadline) is None
+
+    def test_fronts_reject_a_hello_from_the_wrong_side(
+        self, service, host_agent
+    ):
+        # A client dialling a host agent, a coordinator dialling the
+        # service: each fails at the handshake, not at its first request.
+        for address, role in (
+            (host_agent.address, "client"),
+            (service.address, "coordinator"),
+        ):
+            replies = _exchange(address, _raw_hello(PROTOCOL_VERSION, role))
+            assert f"role {role!r}" in _error_text(replies)
+        with pytest.raises(ProtocolError, match="HELLO"):
+            ServiceClient(host_agent.address)
+
+    def test_host_batch_op_is_a_typed_error(self, host_agent):
+        from repro.samplers.checkpoint import state_to_wire
+        from repro.streams.fuzz import _fresh_state
+
+        lease = ("lease", 0, state_to_wire(_fresh_state(5)), ("uniform", {}))
+        blob = (
+            frame_bytes(FRAME_HELLO, hello_payload("coordinator"))
+            + frame_bytes(FRAME_CONTROL, encode(lease))
+            + frame_bytes(FRAME_CONTROL, encode(("batch", [(True, 1, 2)])))
+        )
+        text = _error_text(_exchange(host_agent.address, blob))
+        assert "unknown op 'batch'" in text
 
     def test_host_rejects_unknown_weight_spec(self, host_agent):
         from repro.samplers.checkpoint import state_to_wire

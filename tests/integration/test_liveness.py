@@ -30,12 +30,13 @@ from repro.graph.generators import powerlaw_cluster
 from repro.samplers import WSD
 from repro.streams import ShardedStreamExecutor
 from repro.streams.executor import ExecutorOptions
-from repro.streams.host import spawn_local_host
+from repro.streams.host import HostAgent, spawn_local_host
 from repro.streams.ingest import ServiceClient
 from repro.streams.service import CountingService, ServiceConfig, StreamConfig
 from repro.streams.transport import (
     FRAME_HELLO,
     hello_payload,
+    parse_address,
     read_frame,
     write_frame,
 )
@@ -216,6 +217,22 @@ class TestHostLeases:
                 remote.close()
         finally:
             host.stop()
+
+    @pytest.mark.parametrize("auth_key", [None, "lease-key"])
+    def test_a_peer_silent_before_hello_is_reaped(self, auth_key):
+        agent = HostAgent(heartbeat_timeout=0.5, auth_key=auth_key)
+        thread = threading.Thread(target=agent.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = parse_address(agent.address)
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                start = time.monotonic()
+                while sock.recv(4096):  # the expiry report, then EOF
+                    pass
+                assert time.monotonic() - start < 2.5
+        finally:
+            agent.shutdown()
+            thread.join(timeout=5.0)
 
     def test_keyed_lease_round_trip(self, events):
         reference = serial_estimate(events)

@@ -25,7 +25,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.graph.generators import powerlaw_cluster
-from repro.graph.stream import EventBlock
+from repro.graph.stream import EdgeEvent, EventBlock
 from repro.streams.codec import decode, encode
 from repro.streams.executor import ExecutorOptions
 from repro.streams.ingest import ServiceClient
@@ -39,14 +39,10 @@ from repro.streams.transport import (
     FRAME_BLOCK,
     FRAME_CONTROL,
     FRAME_HEADER_SIZE,
-    FRAME_HELLO,
-    FrameAuth,
-    expect_hello,
     frame_bytes,
-    hello_payload,
+    initiate_hello,
     parse_address,
     read_frame,
-    write_frame,
 )
 
 
@@ -169,6 +165,74 @@ class TestServiceSocket:
             client.close()
 
 
+class TestOneEventForm:
+    """Events leave a process, cross a socket and reach the WAL as int64
+    EventBlocks only: a label that does not fit is refused at the
+    boundary, before anything is sent, logged or applied."""
+
+    LABELLED = [EdgeEvent.insertion("a", "b"), EdgeEvent.insertion("b", "c")]
+
+    def test_session_refuses_non_int_labels_before_logging(self):
+        with repro.open_stream(StreamConfig(budget=64), name="labels") as session:
+            with pytest.raises(ConfigurationError, match="VertexInterner"):
+                session.ingest(self.LABELLED)
+            assert session.clock == 0
+            assert session.wal_stats()["events"] == 0
+
+    def test_client_refuses_non_int_labels_before_sending(self):
+        with CountingService(ServiceConfig(checkpoint_interval=None)) as service:
+            with ServiceClient(service.address) as client:
+                client.create_stream("labels", StreamConfig(budget=64))
+                for push in (client.send_events, client.ingest):
+                    with pytest.raises(ConfigurationError, match="VertexInterner"):
+                        push(self.LABELLED)
+                assert client.time() == 0  # the connection still serves
+            assert service.get_stream("labels").wal_stats()["events"] == 0
+
+    def test_wal_entries_are_blocks_after_list_ingests(self, events):
+        config = StreamConfig(budget=300, seed=3)
+        with repro.open_stream(config, name="wal-form") as session:
+            session.ingest(events[:100])
+            session.ingest(iter(events[100:200]))
+            session.ingest(EventBlock.from_events(events[200:300]))
+            assert len(session._wal) == 3
+            assert all(isinstance(entry, EventBlock) for entry in session._wal)
+
+    def test_acknowledged_ingest_matches_open_stream(self, events):
+        config = StreamConfig(budget=300, seed=12)
+        reference = serial_reference(events, config, "acked")
+        with CountingService(ServiceConfig(checkpoint_interval=None)) as service:
+            with ServiceClient(service.address) as client:
+                client.create_stream("acked", config)
+                for start in range(0, len(events), 300):
+                    batch = events[start:start + 300]
+                    assert client.ingest(batch) == len(batch)
+                assert client.time() == len(events)
+                assert client.estimate() == reference
+
+    def test_acknowledged_ingest_surfaces_overload_on_the_call(self, events):
+        with CountingService(
+            ServiceConfig(checkpoint_interval=None, wal_hard_limit_events=150)
+        ) as service:
+            with ServiceClient(service.address) as client:
+                client.create_stream("acked-limit", StreamConfig(budget=64))
+                client.ingest(events[:100])
+                with pytest.raises(ServiceOverloadedError, match="hard limit"):
+                    client.ingest(events[100:200])
+                assert client.time() == 100
+
+    def test_ingest_of_an_event_list_is_a_typed_error(self, events):
+        with CountingService(ServiceConfig(checkpoint_interval=None)) as service:
+            conn = RawConnection(service.address)
+            conn.request("create", "lists", StreamConfig(budget=64).to_dict(), None)
+            conn.sock.sendall(conn.control("ingest", events[:10]))
+            replies = conn.replies_until_close()
+            assert replies[-1][0] == "error"
+            assert "not an EventBlock" in replies[-1][2]
+            conn.close()
+            assert service.get_stream("lists").clock == 0
+
+
 @pytest.fixture(scope="module")
 def block_stream():
     edges = powerlaw_cluster(5000, m=5, triangle_probability=0.6, rng=0)
@@ -186,22 +250,10 @@ class RawConnection:
     def __init__(self, address, auth_key=None):
         host, port = parse_address(address)
         self.sock = socket.create_connection((host, port), timeout=5)
-        self.auth = None
+        self.auth = initiate_hello(
+            self.sock, "client", peer="service", auth_key=auth_key
+        )
         self.token = 0
-        if auth_key is None:
-            write_frame(self.sock, FRAME_HELLO, hello_payload("client"))
-            expect_hello(self.sock, peer="service")
-        else:
-            static = FrameAuth(auth_key)
-            nonce = FrameAuth.new_nonce()
-            write_frame(
-                self.sock,
-                FRAME_HELLO,
-                hello_payload("client", nonce=nonce),
-                static,
-            )
-            meta = expect_hello(self.sock, peer="service", auth=static)
-            self.auth = static.derived(nonce, meta["nonce"])
 
     def block(self, block):
         return frame_bytes(FRAME_BLOCK, block.to_bytes(), self.auth)

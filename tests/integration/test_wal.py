@@ -16,6 +16,7 @@ import repro
 from repro import build_stream
 from repro.errors import ServiceOverloadedError
 from repro.graph.generators import powerlaw_cluster
+from repro.streams.codec import wal_to_wire
 from repro.streams.service import StreamConfig, StreamSession
 
 
@@ -133,6 +134,33 @@ class TestSpill:
         assert stats["aligned"]  # healed by a full checkpoint, not a spill
         assert stats["segments"] == 0
         session.close()
+
+
+class TestLegacySegments:
+    def test_event_list_segments_restore_bit_identically(
+        self, events, tmp_path
+    ):
+        """Protocol-2 builds spilled list ingests as EdgeEvent lists;
+        restore replays them through ``ingest``, which converts each to
+        a block, and lands on the same estimate."""
+        reference = serial_reference(events, CONFIG, "legacy")
+        half = len(events) // 2
+        session = StreamSession("legacy", CONFIG, state_dir=tmp_path)
+        session.ingest(events[:half])
+        session.checkpoint()
+        session.close()
+        wal_dir = tmp_path / "legacy" / "wal"
+        wal_dir.mkdir()
+        rest = events[half:]
+        for seq, start in enumerate(range(0, len(rest), 97)):
+            segment = wal_dir / f"wal-g000001-{seq:06d}.seg"
+            segment.write_bytes(wal_to_wire([rest[start:start + 97]]))
+
+        restored = StreamSession.restore("legacy", tmp_path)
+        assert restored.clock == len(events)
+        assert restored.queries.estimate() == reference
+        assert restored.wal_stats()["segments"] == 0
+        restored.close()
 
 
 class TestHardLimit:

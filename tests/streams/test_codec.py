@@ -201,7 +201,6 @@ class TestSchemaValidators:
     def test_valid_host_messages_pass_through(self):
         lease = ("lease", 3, b"state", ("uniform", {}))
         assert validate_host_request(lease) is lease
-        assert validate_host_request(("batch", [(True, 1, 2)]))
         assert validate_host_request(("sync", 7))
         assert validate_host_reply(("lease", 3, "ok"))
         assert validate_host_reply(("sync", 7, 10, 2.5))
@@ -221,7 +220,7 @@ class TestSchemaValidators:
             ("lease", 0, "not-bytes", None),
             ("lease", 0, b"state", ("x" * 500, {})),  # giant name
             ("lease", 0, b"state", ("w", {"fn": object()})),
-            ("batch", [(True, 1)]),  # malformed triple
+            ("batch", [(True, 1, 2)]),  # removed: events ride BLOCK frames
             ("sync",),  # missing token
         ],
     )
@@ -249,7 +248,7 @@ class TestSchemaValidators:
         create = ("create", 1, "s", {"budget": 10}, None)
         assert validate_service_request(create) is create
         assert validate_service_request(
-            ("ingest", 2, [EdgeEvent(INSERT, (1, 2))])
+            ("ingest", 2, EventBlock.from_events([EdgeEvent(INSERT, (1, 2))]))
         )
         assert validate_service_request(("query", 3, "estimate", {}))
         assert validate_service_request(("checkpoint", 4))
@@ -264,6 +263,7 @@ class TestSchemaValidators:
             ("create", 1, 42, {}, None),  # non-string name
             ("ingest", 2, [("not", "an", "event")]),
             ("ingest", 2, "abc"),
+            ("ingest", 2, [EdgeEvent(INSERT, (1, 2))]),  # lists: protocol 2
             ("query", 3, "x" * 300, {}),  # megabyte-name guard
             ("streams", 4, "extra"),
             ("nope", 1),

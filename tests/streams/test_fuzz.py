@@ -6,12 +6,17 @@ bit-identically from their seed, every mutation class is reachable,
 and a run against live fronts ends with zero contract violations.
 """
 
+import socket
+import struct
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.streams.fuzz import (
     CLEAN_EVERY,
     MUTATIONS,
+    FuzzCase,
     FuzzHarness,
     FuzzPlan,
     run_fuzz,
@@ -67,6 +72,34 @@ class TestRun:
             )
         assert all(case.target == "host" for case in report.cases)
         assert report.ok, report.to_dict()
+
+    def test_a_front_that_resets_fails_the_case(self, monkeypatch):
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = f"127.0.0.1:{listener.getsockname()[1]}"
+
+        def reset_after_16_bytes():
+            conn, _ = listener.accept()
+            conn.recv(16)
+            linger = struct.pack("ii", 1, 0)  # close() sends a reset
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+            conn.close()
+
+        thread = threading.Thread(target=reset_after_16_bytes, daemon=True)
+        thread.start()
+        plan = FuzzPlan.from_seed(3)
+        assert plan.mutation != "clean"
+        try:
+            with FuzzHarness() as harness:
+                monkeypatch.setattr(harness, "address_for", lambda _t: address)
+                outcome, detail = harness._exchange(
+                    plan.target, plan.wire_bytes()
+                )
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
+        case = FuzzCase(plan.seed, plan.target, plan.mutation, outcome, detail)
+        assert outcome == "reset", detail
+        assert not case.ok
 
     def test_report_shape(self):
         report = run_fuzz(range(1, 4), targets=("service",))

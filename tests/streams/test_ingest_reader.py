@@ -23,6 +23,7 @@ from repro.streams.transport import (
     FRAME_CONTROL,
     FRAME_HEARTBEAT,
     FRAME_HEADER_SIZE,
+    PROTOCOL_VERSION,
     FrameAuth,
     block_from_frame,
     frame_bytes,
@@ -217,7 +218,9 @@ class TestFrameReading:
         run_reader([block_frame(make_block(4))[:-3]], scenario)
 
     def test_frame_cap_is_checked_on_the_header_alone(self):
-        header = _FRAME_HEADER.pack(b"RSX1", 2, FRAME_BLOCK, 1 << 20)
+        header = _FRAME_HEADER.pack(
+            b"RSX1", PROTOCOL_VERSION, FRAME_BLOCK, 1 << 20
+        )
 
         async def scenario(frames, _reader):
             with pytest.raises(ProtocolError, match="frame cap"):

@@ -22,12 +22,11 @@ import repro
 from repro.errors import ConfigurationError, ProtocolError, WorkerCrashError
 from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import powerlaw_cluster
-from repro.graph.stream import EdgeEvent
+from repro.graph.stream import EdgeEvent, EventBlock
 from repro.samplers import GPS, GPSA, WRS, WSD, ThinkD, Triest
 from repro.samplers.checkpoint import sampler_state_dict
 from repro.streams import ShardedStreamExecutor, ShardWorker, build_stream
 from repro.streams.executor import ExecutorOptions
-from repro.streams.workers import encode_events
 from repro.streams.host import HostAgent, spawn_local_host
 from repro.streams.transport import (
     FRAME_HELLO,
@@ -133,6 +132,18 @@ class TestSerialRemoteParity:
             a, b = addresses(agents)
             assert remote.shard_hosts() == [a, b, a]
             assert remote.hosts == (a, b)
+
+    def test_non_int_labels_are_rejected_before_any_lease(self, agents):
+        events = [EdgeEvent.insertion("a", "b"), EdgeEvent.insertion("b", "c")]
+        make = SAMPLER_CASES[4][2]
+        assert run_serial(make, "partition", events).time == len(events)
+        with build_executor(
+            make, "remote", "partition", hosts=addresses(agents)
+        ) as remote:
+            with pytest.raises(ConfigurationError, match="VertexInterner"):
+                remote.process_stream(events)
+            assert remote.shard_hosts() is None  # nothing was leased
+            assert remote.time == 0
 
     def test_chunking_does_not_change_results(self, streams, agents):
         stream = streams["light"]
@@ -369,7 +380,7 @@ class TestFaultInjection:
         )
         events = [EdgeEvent.insertion(i, i + 1) for i in range(20)]
         events.append(EdgeEvent.deletion(0, 1))
-        worker.send_batch(encode_events(events))
+        worker.send_block(EventBlock.from_events(events))
         with pytest.raises(WorkerCrashError, match="shard 3") as excinfo:
             worker.request("sync")
         assert "SamplerError" in str(excinfo.value)
@@ -488,7 +499,7 @@ class TestHostAgentCli:
             reference = make(spawn_generators(1, 1)[0])
             worker = ShardWorker(0, sampler_state_dict(sampler), host=address)
             events = streams["light"][:200]
-            worker.send_batch(encode_events(events))
+            worker.send_block(EventBlock.from_events(events))
             reference.process_batch(events)
             _, _, shard_time, estimate = worker.request("sync")
             assert shard_time == reference.time

@@ -11,12 +11,13 @@ through a per-worker shared-memory slot ring. The contracts:
   slot is split transparently);
 * the crash-restart path (checkpoint snapshot → kill → respawn) works
   unchanged over the shm transport;
-* streams whose labels cannot ride an int64 block fall back to the
-  queue path per chunk, transparently.
+* blocks are the only event form a worker receives: labels that cannot
+  ride an int64 block are rejected before any chunk is dispatched.
 """
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent, EventBlock
 from repro.samplers import WSD, ThinkD
@@ -93,7 +94,7 @@ class TestTransportParity:
         finally:
             worker.kill()
 
-    def test_mixed_label_stream_falls_back_per_chunk(self):
+    def test_non_int_labels_are_rejected_before_dispatch(self):
         events = [EdgeEvent.insertion("a", "b"), EdgeEvent.insertion("b", "c"),
                   EdgeEvent.insertion("a", "c"), EdgeEvent.deletion("a", "b")]
         rngs = spawn_generators(5, 2)
@@ -102,14 +103,16 @@ class TestTransportParity:
             return ThinkD("triangle", 30, rng=rngs[i])
 
         serial = ShardedStreamExecutor(factory, 2, mode="partition")
-        serial.process_stream(events)
-        rngs = spawn_generators(5, 2)
+        serial.process_stream(events)  # in-process: any hashable label
+        assert serial.time == len(events)
         with ShardedStreamExecutor(
             factory, 2, mode="partition",
             options=ExecutorOptions(backend="process"),
         ) as proc:
-            proc.process_stream(events)
-            assert proc.estimate == serial.estimate
+            with pytest.raises(ConfigurationError, match="VertexInterner"):
+                proc.process_stream(events)
+            assert proc._workers is None  # no worker was even launched
+            assert proc.time == 0
 
     def test_shm_transport_allocates_ring(self, stream):
         with build_executor("process") as executor:

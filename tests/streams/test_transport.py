@@ -134,7 +134,7 @@ class TestHandshake:
     def test_hello_round_trip(self, pair):
         left, right = pair
         write_frame(left, FRAME_HELLO, hello_payload("coordinator"))
-        meta = expect_hello(right, peer="coordinator")
+        meta = expect_hello(right, peer="coordinator", role="coordinator")
         assert meta["protocol"] == PROTOCOL_VERSION
         assert meta["role"] == "coordinator"
 
@@ -145,19 +145,25 @@ class TestHandshake:
         ).encode()
         write_frame(left, FRAME_HELLO, payload)
         with pytest.raises(ProtocolError, match="protocol"):
-            expect_hello(right, peer="peer")
+            expect_hello(right, peer="peer", role="x")
+
+    def test_wrong_role_rejected_at_handshake(self, pair):
+        left, right = pair
+        write_frame(left, FRAME_HELLO, hello_payload("client"))
+        with pytest.raises(ProtocolError, match="role 'client'"):
+            expect_hello(right, peer="peer", role="coordinator")
 
     def test_non_hello_first_frame_rejected(self, pair):
         left, right = pair
         write_frame(left, FRAME_CONTROL, b"not a hello")
         with pytest.raises(ProtocolError, match="HELLO"):
-            expect_hello(right, peer="peer")
+            expect_hello(right, peer="peer", role="x")
 
     def test_eof_before_hello_rejected(self, pair):
         left, right = pair
         left.close()
         with pytest.raises(ProtocolError, match="before HELLO"):
-            expect_hello(right, peer="peer")
+            expect_hello(right, peer="peer", role="x")
 
 
 class TestBlockFrames:

@@ -5,10 +5,10 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.graph.stream import EdgeEvent
+from repro.graph.stream import EdgeEvent, EventBlock
 from repro.samplers import GPS, WSD, restore_sampler, sampler_state_dict
 from repro.streams.executor import ExecutorOptions
-from repro.streams.workers import ShardWorker, decode_events, encode_events
+from repro.streams.workers import ShardWorker
 from repro.weights.base import WeightFunction
 from repro.weights.heuristic import GPSHeuristicWeight
 
@@ -23,26 +23,6 @@ def simple_events(n=30):
     return events
 
 
-class TestEventCodec:
-    def test_round_trip(self):
-        events = simple_events()
-        assert decode_events(encode_events(events)) == events
-
-    def test_ops_preserved(self):
-        events = [EdgeEvent.insertion(1, 2), EdgeEvent.deletion(1, 2)]
-        decoded = decode_events(encode_events(events))
-        assert decoded[0].is_insertion and decoded[1].is_deletion
-
-    def test_string_vertices(self):
-        events = [EdgeEvent.insertion("alice", "bob")]
-        assert decode_events(encode_events(events)) == events
-
-    def test_payload_is_plain_tuples(self):
-        payload = encode_events([EdgeEvent.insertion(4, 2)])
-        # Canonical edge (2, 4); insertion flag leads.
-        assert payload == [(True, 2, 4)]
-
-
 class TestShardWorker:
     def test_batch_sync_reflects_all_events(self):
         reference = fresh_wsd()
@@ -51,7 +31,7 @@ class TestShardWorker:
             events = simple_events()
             local = fresh_wsd()
             local.process_batch(events)
-            worker.send_batch(encode_events(events))
+            worker.send_block(EventBlock.from_events(events))
             _, _, shard_time, shard_estimate = worker.request("sync")
             assert shard_time == local.time == len(events)
             assert shard_estimate == local.estimate
@@ -63,7 +43,7 @@ class TestShardWorker:
         events = simple_events(40)
         worker = ShardWorker(0, sampler_state_dict(reference), GPSHeuristicWeight())
         try:
-            worker.send_batch(encode_events(events[:20]))
+            worker.send_block(EventBlock.from_events(events[:20]))
             worker.request("sync")
             state = worker.request("snapshot")[2]
         finally:
@@ -77,7 +57,7 @@ class TestShardWorker:
     def test_stop_returns_final_state(self):
         worker = ShardWorker(0, sampler_state_dict(fresh_wsd()), GPSHeuristicWeight())
         events = simple_events()
-        worker.send_batch(encode_events(events))
+        worker.send_block(EventBlock.from_events(events))
         state = worker.stop()
         local = fresh_wsd()
         local.process_batch(events)
@@ -94,8 +74,8 @@ class TestShardWorker:
         gps = GPS("triangle", 20, GPSHeuristicWeight(), rng=0)
         worker = ShardWorker(3, sampler_state_dict(gps), GPSHeuristicWeight())
         try:
-            worker.send_batch(
-                encode_events(simple_events())  # ends with a deletion
+            worker.send_block(
+                EventBlock.from_events(simple_events())  # ends with a deletion
             )
             with pytest.raises(WorkerCrashError) as excinfo:
                 worker.request("sync")
@@ -103,7 +83,9 @@ class TestShardWorker:
             assert "SamplerError" in str(excinfo.value)
             # The handle stays failed: later traffic raises immediately.
             with pytest.raises(WorkerCrashError):
-                worker.send_batch([(True, 1, 2)])
+                worker.send_block(
+                    EventBlock.from_events([EdgeEvent.insertion(1, 2)])
+                )
         finally:
             worker.kill()
 
