@@ -303,19 +303,19 @@ class EventBlock:
     @staticmethod
     def _as_int64(column) -> np.ndarray:
         arr = np.asarray(column)
-        if arr.dtype == np.int64:
+        # One label per event: sequence labels (tuples) coerce to 2-D.
+        if arr.ndim == 1 and arr.dtype == np.int64:
             return np.ascontiguousarray(arr)
         if arr.size == 0:
             # An empty list coerces to float64; there is nothing to
             # lose in an empty cast.
             return np.empty(0, dtype=np.int64)
-        try:
-            return np.ascontiguousarray(arr.astype(np.int64, casting="safe"))
-        except TypeError as exc:
-            raise TypeError(
-                "EventBlock requires int64-compatible vertex labels, got "
-                f"dtype {arr.dtype}"
-            ) from exc
+        if arr.ndim == 1 and np.can_cast(arr.dtype, np.int64):
+            return arr.astype(np.int64)
+        raise TypeError(
+            "EventBlock requires one int64-compatible vertex label per "
+            f"event, got a {arr.ndim}-D column of dtype {arr.dtype}"
+        )
 
     # -- container protocol -------------------------------------------------
 

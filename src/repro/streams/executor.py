@@ -256,7 +256,7 @@ def as_event_block(events: EventBlock | Iterable[EdgeEvent]) -> EventBlock:
         return events
     try:
         return EventBlock.from_events(events)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValueError: ragged labels
         raise ConfigurationError(
             f"{exc}: events cross process, socket and WAL boundaries as "
             "int64 EventBlocks; map other vertex labels to ints first "
@@ -527,6 +527,9 @@ class ShardedStreamExecutor:
         first).
         """
         if self._uses_workers:
+            u, v = event.edge
+            if not (type(u) is type(v) is int and -(1 << 63) <= u < v < 1 << 63):
+                as_event_block((event,))  # raises: the label is refused here
             self._ensure_workers()
             self._pending.append(event)
             if len(self._pending) >= self.options.chunk_size:
@@ -589,8 +592,8 @@ class ShardedStreamExecutor:
         self._synced = False
 
     def _flush_pending(self) -> None:
-        pending, self._pending = self._pending, []
-        self._dispatch(as_event_block(pending))
+        block, self._pending = as_event_block(self._pending), []
+        self._dispatch(block)
 
     def ingest(
         self, events: EventBlock | Iterable[EdgeEvent]

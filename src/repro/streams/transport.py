@@ -75,6 +75,7 @@ cluster-internal transport, not a public API surface.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac as hmac_module
 import json
@@ -498,9 +499,13 @@ def check_hello(
         raise ProtocolError(f"{peer} closed the connection before HELLO")
     kind, payload = frame
     if kind != FRAME_HELLO:
-        raise ProtocolError(
-            f"expected HELLO from {peer}, got frame kind {kind}"
-        )
+        reason = f"got frame kind {kind}"
+        if kind == FRAME_CONTROL:  # an acceptor refusing our HELLO says why
+            with contextlib.suppress(ProtocolError):
+                reply = _decode_payload(payload)
+                if isinstance(reply, tuple) and reply[:1] == ("error",):
+                    reason = f"got its refusal: {reply[-1]}"
+        raise ProtocolError(f"expected HELLO from {peer}, {reason}")
     if auth is not None:
         payload = auth.verify(kind, payload)
     try:

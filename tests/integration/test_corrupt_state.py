@@ -331,7 +331,7 @@ class TestWireRejection:
         ):
             replies = _exchange(address, _raw_hello(PROTOCOL_VERSION, role))
             assert f"role {role!r}" in _error_text(replies)
-        with pytest.raises(ProtocolError, match="HELLO"):
+        with pytest.raises(ProtocolError, match="announced role 'client'"):
             ServiceClient(host_agent.address)
 
     def test_host_batch_op_is_a_typed_error(self, host_agent):

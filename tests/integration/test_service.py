@@ -170,12 +170,19 @@ class TestOneEventForm:
     EventBlocks only: a label that does not fit is refused at the
     boundary, before anything is sent, logged or applied."""
 
-    LABELLED = [EdgeEvent.insertion("a", "b"), EdgeEvent.insertion("b", "c")]
+    LABELLED = (
+        [EdgeEvent.insertion("a", "b"), EdgeEvent.insertion("b", "c")],
+        # Equal-length tuples coerce to a 2-D int64 column; ragged ones
+        # do not coerce at all.
+        [EdgeEvent.insertion((1, 2), (3, 4)), EdgeEvent.insertion((5, 6), (7, 8))],
+        [EdgeEvent.insertion((1, 2), (3,)), EdgeEvent.insertion((5,), (7, 8))],
+    )
 
     def test_session_refuses_non_int_labels_before_logging(self):
         with repro.open_stream(StreamConfig(budget=64), name="labels") as session:
-            with pytest.raises(ConfigurationError, match="VertexInterner"):
-                session.ingest(self.LABELLED)
+            for labelled in self.LABELLED:
+                with pytest.raises(ConfigurationError, match="VertexInterner"):
+                    session.ingest(labelled)
             assert session.clock == 0
             assert session.wal_stats()["events"] == 0
 
@@ -184,8 +191,11 @@ class TestOneEventForm:
             with ServiceClient(service.address) as client:
                 client.create_stream("labels", StreamConfig(budget=64))
                 for push in (client.send_events, client.ingest):
-                    with pytest.raises(ConfigurationError, match="VertexInterner"):
-                        push(self.LABELLED)
+                    for labelled in self.LABELLED:
+                        with pytest.raises(
+                            ConfigurationError, match="VertexInterner"
+                        ):
+                            push(labelled)
                 assert client.time() == 0  # the connection still serves
             assert service.get_stream("labels").wal_stats()["events"] == 0
 

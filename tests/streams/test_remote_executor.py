@@ -143,7 +143,10 @@ class TestSerialRemoteParity:
             with pytest.raises(ConfigurationError, match="VertexInterner"):
                 remote.process_stream(events)
             assert remote.shard_hosts() is None  # nothing was leased
-            assert remote.time == 0
+            remote.process(EdgeEvent.insertion(1, 2))
+            with pytest.raises(ConfigurationError, match="VertexInterner"):
+                remote.process(events[0])
+            assert remote.time == 1
 
     def test_chunking_does_not_change_results(self, streams, agents):
         stream = streams["light"]

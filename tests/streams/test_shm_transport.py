@@ -114,6 +114,26 @@ class TestTransportParity:
             assert proc._workers is None  # no worker was even launched
             assert proc.time == 0
 
+    def test_process_refuses_a_non_int_label_at_that_call(self):
+        rngs = spawn_generators(5, 2)
+        with ShardedStreamExecutor(
+            lambda i: ThinkD("triangle", 30, rng=rngs[i]), 2, mode="partition",
+            options=ExecutorOptions(backend="process", chunk_size=64),
+        ) as proc:
+            with pytest.raises(ConfigurationError, match="VertexInterner"):
+                proc.process(EdgeEvent.insertion("a", "b"))
+            assert proc._workers is None  # refused before any launch
+            for u in range(5):
+                proc.process(EdgeEvent.insertion(u, u + 1))
+            for bad in (EdgeEvent.insertion("a", "b"),
+                        EdgeEvent.insertion((1, 2), (3, 4)),
+                        EdgeEvent.insertion(0, 1 << 63)):
+                with pytest.raises(ConfigurationError, match="VertexInterner"):
+                    proc.process(bad)
+            # The buffered int events were neither dropped nor poisoned.
+            assert proc.time == 5
+            assert proc.time == 5
+
     def test_shm_transport_allocates_ring(self, stream):
         with build_executor("process") as executor:
             executor.process_stream(stream)
