@@ -10,13 +10,9 @@ the batched ingestion fast paths.
 from repro.samplers.base import SubgraphCountingSampler
 from repro.samplers.checkpoint import (
     load_sampler,
-    load_wsd,
     restore_sampler,
-    restore_wsd,
     sampler_state_dict,
     save_sampler,
-    save_wsd,
-    wsd_state_dict,
 )
 from repro.samplers.gps import GPS
 from repro.samplers.gps_a import GPSA
@@ -52,10 +48,6 @@ __all__ = [
     "InverseUniformRank",
     "ExponentialRank",
     "get_rank_function",
-    "save_wsd",
-    "load_wsd",
-    "wsd_state_dict",
-    "restore_wsd",
     "save_sampler",
     "load_sampler",
     "sampler_state_dict",

@@ -198,5 +198,27 @@ class IndexedMinHeap:
         """Iterate (key, priority) pairs in arbitrary order."""
         return iter([(key, priority) for priority, key in self._heap])
 
+    def entries(self) -> list[tuple[float, Hashable]]:
+        """The ``(priority, key)`` pairs in heap-array order (a copy).
+
+        Checkpoints store this order: :meth:`load` turns it back into
+        the identical heap.
+        """
+        return list(self._heap)
+
+    def load(self, entries: list[tuple[float, Hashable]]) -> None:
+        """Replace the contents with ``(priority, key)`` pairs in heap order.
+
+        The inverse of :meth:`entries`: O(n) assignment with no sifting,
+        for checkpoint restore. The caller guarantees unique keys and
+        the heap property. Both containers are refilled in place, since
+        ingestion loops may hold references to them.
+        """
+        self._heap[:] = entries
+        self._position.clear()
+        self._position.update(
+            (key, i) for i, (_, key) in enumerate(entries)
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"IndexedMinHeap(size={len(self)})"

@@ -68,7 +68,12 @@ from repro.estimators.combine import (
 from repro.graph.edges import Edge
 from repro.graph.stream import EdgeEvent, EdgeStream, EventBlock
 from repro.samplers.base import SubgraphCountingSampler
-from repro.samplers.checkpoint import restore_sampler, sampler_state_dict
+from repro.samplers.checkpoint import (
+    restore_sampler,
+    sampler_state_dict,
+    state_from_wire,
+    state_to_wire,
+)
 from repro.streams.workers import ShardWorker
 
 __all__ = [
@@ -264,6 +269,10 @@ def as_event_block(events: EventBlock | Iterable[EdgeEvent]) -> EventBlock:
         ) from None
 
 
+def _checkpoint_bytes(shard: SubgraphCountingSampler) -> bytes:
+    return state_to_wire(sampler_state_dict(shard))
+
+
 def default_shard_key(edge: Edge) -> int:
     """Deterministic, process-stable hash of a canonical edge.
 
@@ -451,8 +460,9 @@ class ShardedStreamExecutor:
         self._workers: list[ShardWorker] | None = None
         #: Events buffered in the parent, not yet dispatched to workers.
         self._pending: list[EdgeEvent] = []
-        #: Last shard checkpoints harvested by :meth:`snapshot`.
-        self._snapshots: list[dict] | None = None
+        #: Last shard checkpoints (framed bytes) harvested by
+        #: :meth:`snapshot` or adopted by :meth:`adopt_snapshot`.
+        self._snapshots: list[bytes] | None = None
         self._worker_times: list[int] = []
         self._worker_estimates: list[float] = []
         self._synced = False
@@ -491,7 +501,7 @@ class ShardedStreamExecutor:
                 workers.append(
                     self._spawn_worker(
                         index,
-                        sampler_state_dict(shard),
+                        _checkpoint_bytes(shard),
                         host=(
                             None if self._assignment is None
                             else self._assignment[index]
@@ -506,7 +516,7 @@ class ShardedStreamExecutor:
         self._synced = False
 
     def _spawn_worker(
-        self, index: int, state: dict, host: str | None = None
+        self, index: int, state: bytes, host: str | None = None
     ) -> ShardWorker:
         return ShardWorker(
             index,
@@ -706,40 +716,81 @@ class ShardedStreamExecutor:
 
     # -- checkpointing / crash recovery --------------------------------------
 
-    def snapshot(self) -> list[dict]:
-        """Checkpoint every shard; return the per-shard state dicts.
+    def snapshot(self) -> list[bytes]:
+        """Checkpoint every shard; return the per-shard framed checkpoints.
 
-        The states come from the generic checkpoint layer
-        (:func:`~repro.samplers.checkpoint.sampler_state_dict`) and are
-        JSON-serialisable. On the process backend the buffer is flushed
-        and every worker barriered first, so the snapshot covers every
-        event handed to the executor; the result is also retained as the
-        restart point for :meth:`restart_shard`.
+        Each entry is the bytes of
+        :func:`~repro.samplers.checkpoint.state_to_wire`, exactly as the
+        worker (or, on the serial backend, this process) encoded it —
+        this process never decodes them. On the worker backends the buffer
+        is flushed and every worker barriered first, so the snapshot
+        covers every event handed to the executor, and
+        :meth:`shard_times` reads the barrier's clocks without another
+        round trip. The result is also retained as the restart point
+        for :meth:`restart_shard`.
         """
         if self._process_active:
             self._sync()
-            states = [
-                worker.request("snapshot")[2] for worker in self._workers
-            ]
+            blobs = [reply[2] for reply in self._ask_all("snapshot")]
         else:
-            states = [sampler_state_dict(shard) for shard in self.shards]
-        self._snapshots = states
-        return states
+            blobs = [_checkpoint_bytes(shard) for shard in self.shards]
+        self._snapshots = blobs
+        return blobs
+
+    def _ask_all(self, tag: str) -> list[tuple]:
+        """Post ``tag`` to every worker, then collect every reply.
+
+        The replicas work on the request at the same time. A failure is
+        raised only after every request already posted has had its reply
+        collected, so no stale reply is left queued for the next one.
+        """
+        posted: list[tuple[ShardWorker, int]] = []
+        failure: Exception | None = None
+        for worker in self._workers:
+            try:
+                posted.append((worker, worker.post(tag)))
+            except Exception as exc:
+                failure = exc
+                break
+        replies = []
+        for worker, token in posted:
+            try:
+                replies.append(worker.collect(tag, token))
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+        return replies
+
+    def adopt_snapshot(self, blobs: Sequence[bytes]) -> None:
+        """Retain ``blobs`` as the restart point, as :meth:`snapshot` would.
+
+        For callers that already hold every shard's framed checkpoint
+        at the current cut — a session restored from disk arms
+        :meth:`restart_shard` with the bytes it read instead of
+        re-encoding the replicas it just built from them.
+        """
+        if len(blobs) != self.num_shards:
+            raise ConfigurationError(
+                f"{len(blobs)} checkpoints for {self.num_shards} shards"
+            )
+        self._snapshots = list(blobs)
 
     def restart_shard(
         self,
         index: int,
-        state: dict | None = None,
+        state: bytes | None = None,
         host: str | None = None,
     ) -> None:
         """Respawn one crashed (or killed) worker from a checkpoint.
 
-        ``state`` defaults to the shard's entry in the latest
-        :meth:`snapshot`. Only the named shard is rebuilt — the other
-        workers keep their live state, so recovery never replays their
-        events. Events dispatched to the shard *after* the checkpoint
-        was taken are lost; callers coordinate snapshots with ingestion
-        (e.g. snapshot at batch boundaries) to bound that window.
+        ``state`` (framed checkpoint bytes) defaults to the shard's
+        entry in the latest :meth:`snapshot`. Only the named shard is
+        rebuilt — the other workers keep their live state, so recovery
+        never replays their events. Events dispatched to the shard
+        *after* the checkpoint was taken are lost; callers coordinate
+        snapshots with ingestion (e.g. snapshot at batch boundaries) to
+        bound that window.
 
         On the remote backend, ``host`` re-places the shard (e.g. onto
         a surviving host after its old host died); it must be a current
@@ -781,7 +832,7 @@ class ShardedStreamExecutor:
         self._synced = False
 
     def _supervised_spawn(
-        self, index: int, state: dict, host: str | None
+        self, index: int, state: bytes, host: str | None
     ) -> ShardWorker:
         """Spawn a replacement worker, retrying bring-up under policy.
 
@@ -961,7 +1012,7 @@ class ShardedStreamExecutor:
                 else:
                     continue
             self.shards[index] = restore_sampler(
-                final_state,
+                state_from_wire(final_state),
                 getattr(self.shards[index], "weight_fn", None),
             )
         self._pending.clear()

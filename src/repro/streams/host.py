@@ -46,17 +46,14 @@ both default to off.
 from __future__ import annotations
 
 import argparse
+import signal
 import socket
 import threading
 import time
 import traceback
 
 from repro.errors import PeerLostError, ProtocolError
-from repro.samplers.checkpoint import (
-    restore_sampler,
-    state_from_wire,
-    state_to_wire,
-)
+from repro.samplers.checkpoint import restore_sampler, state_from_wire
 from repro.streams.codec import (
     decode as _decode_payload,
 )
@@ -301,10 +298,6 @@ class HostAgent:
                 sampler, validate_host_request(_decode_payload(payload))
             )
             if reply is not None:
-                # Checkpoint states travel framed (magic + version +
-                # CRC) so corruption fails loudly coordinator-side.
-                if reply[0] in ("snapshot", "stop"):
-                    reply = reply[:2] + (state_to_wire(reply[2]),)
                 _send_control(conn, reply, auth)
             if done:
                 return
@@ -499,6 +492,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     host, port = parse_address(args.listen)
+    # A process started with SIGINT ignored (``cmd &`` in a
+    # non-interactive shell) inherits SIG_IGN; restore the default so
+    # Ctrl-C / SIGINT always stops the agent.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     agent = HostAgent(
         host,
         port,

@@ -30,7 +30,8 @@ itself restarts. Three objects carry the design:
   operator entry point.
 
 Durability uses generation-numbered checkpoint files: every shard
-state of generation *g* is written (atomically, via
+state of generation *g* — the framed format-5 bytes its worker sent,
+written without decoding — is written (atomically, via
 :func:`~repro.utils.io.atomic_write_bytes`) together with its own
 ``manifest-g<g>.json`` before ``manifest.json`` — the commit point —
 is replaced to name them; generations *g* and *g-1* are both retained
@@ -40,8 +41,9 @@ leaves at least one complete checkpoint, never only a torn mix.
 
 Everything read back from disk is validated before it is trusted:
 WAL spill segments are CRC-framed (:mod:`repro.streams.codec`),
-checkpoint shard files carry their own framed format, and manifests
-are structurally checked. A file that fails — truncated, bit-flipped,
+checkpoint shard files carry their own CRC-framed format (format 5;
+format-4 files are read as a migration), and manifests are
+structurally checked. A file that fails — truncated, bit-flipped,
 zero-length, wrong format — is renamed into the stream's
 ``quarantine/`` directory with a :class:`~repro.errors.CorruptStateWarning`
 and restore falls back to the newest generation that validates in
@@ -58,6 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 import threading
 import traceback
@@ -78,9 +81,9 @@ from repro.estimators.local import LocalSubgraphCounter
 from repro.graph.stream import EventBlock
 from repro.patterns.matching import get_pattern
 from repro.samplers.checkpoint import (
+    check_state_wire,
     restore_sampler,
     state_from_wire,
-    state_to_wire,
 )
 from repro.streams.codec import wal_from_wire, wal_to_wire
 from repro.streams.executor import (
@@ -228,8 +231,7 @@ def _manifest_candidates(directory: Path) -> list[Path]:
 
 
 # Local-count vertices are int or str; JSON object keys are str-only,
-# so accumulators persist as tagged pairs (the checkpoint layer's
-# convention).
+# so accumulators persist as tagged pairs.
 def _encode_vertex(vertex) -> list:
     if isinstance(vertex, bool) or not isinstance(vertex, (int, str)):
         raise ConfigurationError(
@@ -389,7 +391,7 @@ class StreamSession:
         wal_limit_events: int = DEFAULT_WAL_LIMIT,
         wal_spill_events: int | None = None,
         wal_hard_limit_events: int | None = None,
-        _states: list[dict] | None = None,
+        _checkpoint: tuple[list, list[bytes]] | None = None,
         _generation: int = 0,
         _local_counts: dict | None = None,
     ) -> None:
@@ -451,7 +453,7 @@ class StreamSession:
         self._generation = int(_generation)
         self._closed = False
 
-        if _states is None:
+        if _checkpoint is None:
             from repro.experiments.algorithms import make_sampler
 
             shard_budget = config.shard_budget()
@@ -465,15 +467,12 @@ class StreamSession:
                     rng=rngs[index],
                 )
         else:
-            if len(_states) != config.shards:
-                raise ServiceError(
-                    f"checkpoint for stream {name!r} has {len(_states)} "
-                    f"shard states but the config declares {config.shards}"
-                )
-            weight_fn = config.build_weight_fn()
+            # Replicas restored by _load_checkpoint, with the shard
+            # files they came from.
+            replicas, blobs = _checkpoint
 
             def factory(index: int):
-                return restore_sampler(_states[index], weight_fn)
+                return replicas[index]
 
         #: The underlying executor. Public for operational tooling and
         #: tests; normal callers use :meth:`ingest` and :attr:`queries`.
@@ -486,11 +485,14 @@ class StreamSession:
             self.local = LocalSubgraphCounter().attach(self.executor.shards[0])
             if _local_counts:
                 self.local.load_vertex_estimates(_local_counts)
-        # Arm restart_shard from event zero (or the restored cut): the
-        # executor retains this snapshot until the next one replaces it.
-        self._base_clocks = [
-            int(state["time"]) for state in self.executor.snapshot()
-        ]
+        # Arm restart_shard from event zero (or the restored cut, with
+        # the bytes read from disk): the executor retains these
+        # checkpoints until the next snapshot replaces them.
+        if _checkpoint is None:
+            self.executor.snapshot()
+        else:
+            self.executor.adopt_snapshot(blobs)
+        self._base_clocks = self.executor.shard_times()
         #: The read surface (estimate / stats / top_vertices / ...).
         self.queries = StreamQueries(self)
 
@@ -790,38 +792,39 @@ class StreamSession:
 
     # -- checkpointing -------------------------------------------------------
 
-    def snapshot(self) -> list[dict]:
+    def snapshot(self) -> list[bytes]:
         """Barrier-checkpoint every shard in memory; trim the WAL.
 
-        The states are retained by the executor as the restart point
-        for crashed shards, and the write-ahead log is reset to this
-        cut — the session only ever needs to replay *since the last
-        snapshot*.
+        Returns the shards' framed checkpoints, which the executor
+        retains as the restart point for crashed shards; the base
+        clocks come from the same barrier. The write-ahead log is reset
+        to this cut — the session only ever needs to replay *since the
+        last snapshot*.
         """
         with self._lock:
             try:
-                states = self.executor.snapshot()
+                blobs = self.executor.snapshot()
             except (WorkerCrashError, PeerLostError) as exc:
                 self._recover(exc)
-                states = self.executor.snapshot()
+                blobs = self.executor.snapshot()
             self._wal.clear()
             self._wal_events = 0
             self._wal_memory_events = 0
             self._drop_segments()
-            self._base_clocks = [int(state["time"]) for state in states]
+            self._base_clocks = self.executor.shard_times()
             # The new base is an in-memory cut until the next persist.
             self._base_aligned = False
-            return states
+            return blobs
 
-    def checkpoint(self) -> list[dict]:
+    def checkpoint(self) -> list[bytes]:
         """Snapshot, then persist durably when the session has a state dir."""
         with self._lock:
-            states = self.snapshot()
+            blobs = self.snapshot()
             if self._state_dir is not None:
-                self._persist(states)
-            return states
+                self._persist(blobs)
+            return blobs
 
-    def _persist(self, states: list[dict]) -> None:
+    def _persist(self, blobs: list[bytes]) -> None:
         """Commit one checkpoint generation atomically.
 
         Every file of generation *g* is written (each one atomically),
@@ -834,17 +837,23 @@ class StreamSession:
         leaves a manifest whose named files all exist and are
         internally CRC-checked, so restore always sees at least one
         complete, consistent checkpoint.
+
+        The shard files are the workers' framed checkpoints, written as
+        they arrived: only each frame and its CRC-32 are checked, all of
+        them before the first file is written.
         """
+        for blob in blobs:
+            check_state_wire(blob)
         directory = self.state_path
         assert directory is not None
         directory.mkdir(parents=True, exist_ok=True)
         generation = self._generation + 1
         shard_files = [
             f"shard-{index:04d}-g{generation:06d}.ckpt"
-            for index in range(len(states))
+            for index in range(len(blobs))
         ]
-        for fname, state in zip(shard_files, states):
-            atomic_write_bytes(directory / fname, state_to_wire(state))
+        for fname, blob in zip(shard_files, blobs):
+            atomic_write_bytes(directory / fname, blob)
         local_file = None
         if self.local is not None:
             local_file = f"local-g{generation:06d}.json"
@@ -952,7 +961,7 @@ class StreamSession:
             if not manifest_path.is_file():
                 continue  # quarantined by an earlier candidate's failure
             try:
-                manifest, config, manifest_options, states, local_counts = (
+                manifest, config, manifest_options, checkpoint, local_counts = (
                     cls._load_checkpoint(directory, manifest_path, tried)
                 )
             except _SkippedGeneration:
@@ -968,7 +977,7 @@ class StreamSession:
                 wal_limit_events=wal_limit_events,
                 wal_spill_events=wal_spill_events,
                 wal_hard_limit_events=wal_hard_limit_events,
-                _states=states,
+                _checkpoint=checkpoint,
                 _generation=int(manifest["generation"]),
                 _local_counts=local_counts,
             )
@@ -985,9 +994,10 @@ class StreamSession:
     ) -> tuple:
         """Read and fully validate one checkpoint generation.
 
-        Returns ``(manifest, config, options, states, local_counts)``
-        or raises :class:`ServiceError` naming what failed — after
-        quarantining the corrupt file so the next restore attempt (or
+        Returns ``(manifest, config, options, (replicas, blobs),
+        local_counts)``: every shard restored from its file, next to the
+        file's bytes. Raises :class:`ServiceError` naming what failed —
+        after quarantining the corrupt file so the next restore attempt (or
         the fallback to an older generation) does not trip over it
         again. Raises :class:`_SkippedGeneration` when this manifest
         names a generation an earlier candidate already covered.
@@ -1032,7 +1042,13 @@ class StreamSession:
             raise ServiceError(
                 f"{manifest_path.name} is malformed: {exc}"
             ) from exc
-        states = []
+        if len(shard_files) != config.shards:
+            raise ServiceError(
+                f"{manifest_path.name} names {len(shard_files)} shard "
+                f"files but its config declares {config.shards}"
+            )
+        weight_fn = config.build_weight_fn()
+        replicas, blobs = [], []
         for fname in shard_files:
             shard_path = directory / fname
             if not shard_path.is_file():
@@ -1040,7 +1056,11 @@ class StreamSession:
                     f"{manifest_path.name} names missing shard file {fname}"
                 )
             try:
-                states.append(state_from_wire(shard_path.read_bytes()))
+                blob = shard_path.read_bytes()
+                replicas.append(
+                    restore_sampler(state_from_wire(blob), weight_fn)
+                )
+                blobs.append(blob)
             except Exception as exc:
                 _quarantine_file(directory, shard_path, str(exc))
                 raise ServiceError(
@@ -1066,7 +1086,10 @@ class StreamSession:
                     f"local-count file {manifest['local_file']} fails "
                     f"validation: {exc}"
                 ) from exc
-        return manifest, config, manifest_options, states, local_counts
+        return (
+            manifest, config, manifest_options, (replicas, blobs),
+            local_counts,
+        )
 
     def _replay_spilled(self, generation: int) -> None:
         """Fold restore-time WAL segments back into the stream.
@@ -1495,6 +1518,10 @@ def main(argv: list[str] | None = None) -> int:
         auth_key=args.auth_key,
         max_frame_bytes=args.max_frame_bytes,
     )
+    # A process started with SIGINT ignored (``cmd &`` in a
+    # non-interactive shell) inherits SIG_IGN; restore the default so
+    # SIGINT always reaches the stop-time checkpoint below.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     service = CountingService(config)
     # Everything after construction sits inside the try, so a SIGINT
     # at any point still runs stop() and its stop-time checkpoint.

@@ -134,7 +134,7 @@ _FRAME_KINDS = (FRAME_HELLO, FRAME_CONTROL, FRAME_BLOCK, FRAME_HEARTBEAT)
 #: Default upper bound on a declared payload length, enforced *before*
 #: any allocation: a hostile u64 length claim fails as a ProtocolError
 #: while still just a header. 64 MiB is far above any real frame
-#: (event chunks are slot-ring sized, checkpoints are compact JSON)
+#: (event chunks are slot-ring sized, checkpoints are compact columns)
 #: yet small enough that even a burst of lying peers cannot pressure
 #: memory. Raisable per executor/service via the ``max_frame_bytes``
 #: knob when genuinely huge checkpoints need to travel.
@@ -605,16 +605,15 @@ class TcpShardTransport(ShardTransport):
     exchange HELLO handshakes (version-checked both ways), then lease
     the shard — ship its framed checkpoint state and named weight-spec
     registry entry — and wait for the host's acceptance. From then on
-    the message protocol is exactly the process backend's; checkpoint
-    states in ``snapshot``/``stop`` replies arrive framed and are
-    decoded (integrity-checked) here, so the protocol layer above sees
-    plain state dicts on every transport. Every control reply is
-    decoded by the RSX2 codec and schema-validated before it reaches
-    the protocol layer.
+    the message protocol is exactly the process backend's: checkpoint
+    states in ``snapshot``/``stop`` replies arrive as framed bytes and
+    are handed up as such, after their frame and CRC-32 are checked
+    here. Every control reply is decoded by the RSX2 codec and
+    schema-validated before it reaches the protocol layer.
 
     Args:
         shard_index: position of this replica in the executor.
-        state: the replica's checkpoint (ships framed).
+        state: the replica's framed checkpoint bytes.
         weight_spec: the replica's named weight spec ``(name, params)``
             from :func:`repro.weights.registry.weight_spec_for`, or
             ``None`` (pairing samplers; learned weights ride the
@@ -639,7 +638,7 @@ class TcpShardTransport(ShardTransport):
     def __init__(
         self,
         shard_index: int,
-        state: dict,
+        state: bytes,
         weight_spec: tuple[str, dict] | None,
         address: str,
         connect_timeout: float = 10.0,
@@ -647,8 +646,6 @@ class TcpShardTransport(ShardTransport):
         auth_key: str | None = None,
         max_frame_bytes: int | None = None,
     ) -> None:
-        from repro.samplers.checkpoint import state_to_wire
-
         self.shard_index = shard_index
         self.address = address
         self._max_frame_bytes = max_frame_bytes
@@ -681,9 +678,7 @@ class TcpShardTransport(ShardTransport):
                 deadline=time.monotonic() + connect_timeout,
                 auth_key=auth_key,
             )
-            self.send(
-                ("lease", shard_index, state_to_wire(state), weight_spec)
-            )
+            self.send(("lease", shard_index, state, weight_spec))
             reply = self.recv()
             if reply[0] == "error":
                 raise TransportClosed(reply[2])
@@ -807,7 +802,7 @@ class TcpShardTransport(ShardTransport):
             return self._decode_control(frame)
 
     def _decode_control(self, frame: tuple[int, bytes]) -> tuple:
-        from repro.samplers.checkpoint import state_from_wire
+        from repro.samplers.checkpoint import check_state_wire
 
         kind, payload = frame
         if kind != FRAME_CONTROL:
@@ -823,11 +818,11 @@ class TcpShardTransport(ShardTransport):
             raise TransportClosed(
                 f"undecodable reply from shard host {self.address}: {exc}"
             ) from None
-        # Checkpoint-bearing replies carry framed states; decode them
-        # here so every transport hands the protocol layer plain dicts.
-        if reply[0] in ("snapshot", "stop") and isinstance(reply[2], bytes):
+        # Checkpoint-bearing replies carry framed states, kept as bytes
+        # from here on; a frame or CRC failure closes the transport.
+        if reply[0] in ("snapshot", "stop"):
             try:
-                reply = reply[:2] + (state_from_wire(reply[2]),)
+                check_state_wire(reply[2])
             except ProtocolError as exc:
                 self._shutdown()
                 raise TransportClosed(

@@ -9,13 +9,15 @@ rules keep the parallel run *result-identical* to the serial one:
 * **State travels as checkpoints.** A worker never constructs its
   sampler from scratch: the parent builds every replica (so all
   randomness derives in one place), snapshots it through the generic
-  checkpoint layer (:func:`~repro.samplers.checkpoint.sampler_state_dict`)
-  and ships the state dict; the worker rebuilds a bit-identical
-  continuation via :func:`~repro.samplers.checkpoint.restore_sampler`.
-  The same transport serves mid-run snapshots, final-state harvest, and
-  crash-restart of a single shard. Because nothing depends on inherited
-  parent memory, workers are safe under every multiprocessing start
-  method, ``spawn`` included.
+  checkpoint layer and ships the framed checkpoint bytes
+  (:func:`~repro.samplers.checkpoint.state_to_wire`); the worker
+  rebuilds a bit-identical continuation via
+  :func:`~repro.samplers.checkpoint.restore_sampler`. Snapshot and stop
+  replies carry the replica's checkpoint back in the same bytes, which
+  the parent keeps undecoded. The same transport serves mid-run
+  snapshots, final-state harvest, and crash-restart of a single shard.
+  Because nothing depends on inherited parent memory, workers are safe
+  under every multiprocessing start method, ``spawn`` included.
 * **Events travel columnar through shared memory.** Stream chunks
   cross the process boundary as encoded
   :class:`~repro.graph.stream.EventBlock` payloads written into a
@@ -76,7 +78,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.graph.stream import EventBlock
-from repro.samplers.checkpoint import restore_sampler, sampler_state_dict
+from repro.samplers.checkpoint import (
+    restore_sampler,
+    sampler_state_dict,
+    state_from_wire,
+    state_to_wire,
+)
 from repro.streams.transport import (
     POLL_SECONDS,
     ShardTransport,
@@ -149,7 +156,9 @@ def handle_shard_message(sampler, message: tuple):
     same event sequence the exact same way. Returns ``(reply, done)``:
     ``reply`` is the tagged reply tuple to ship back (``None`` for
     block messages, which generate no reply) and ``done`` is whether
-    this message ends the replica's session. Transport-specific
+    this message ends the replica's session. ``snapshot``/``stop``
+    replies carry the replica's framed checkpoint bytes, the one form a
+    checkpoint leaves a replica in on either tier. Transport-specific
     messages (``"batch_shm"``) are handled by the caller before
     delegating here.
     """
@@ -158,10 +167,9 @@ def handle_shard_message(sampler, message: tuple):
         sampler.process_batch(EventBlock.from_buffer(message[1]))
     elif tag == "sync":
         return ("sync", message[1], sampler.time, sampler.estimate), False
-    elif tag == "snapshot":
-        return ("snapshot", message[1], sampler_state_dict(sampler)), False
-    elif tag == "stop":
-        return ("stop", message[1], sampler_state_dict(sampler)), True
+    elif tag in ("snapshot", "stop"):
+        blob = state_to_wire(sampler_state_dict(sampler))
+        return (tag, message[1], blob), tag == "stop"
     else:
         raise RuntimeError(f"unknown worker message tag {tag!r}")
     return None, False
@@ -186,7 +194,7 @@ def _worker_main(
         weight_fn = (
             None if weight_blob is None else pickle.loads(weight_blob)
         )
-        sampler = restore_sampler(state, weight_fn)
+        sampler = restore_sampler(state_from_wire(state), weight_fn)
         flags = None
         num_slots = slot_bytes = 0
         if shm_spec is not None:
@@ -248,7 +256,7 @@ class ProcessShardTransport(ShardTransport):
 
     Args:
         shard_index: position of this replica in the executor.
-        state: the replica's checkpoint state dict.
+        state: the replica's framed checkpoint bytes.
         weight_blob: the replica's pickled weight function, or ``None``.
         mp_context: a :mod:`multiprocessing` context (already resolved
             by the caller).
@@ -262,7 +270,7 @@ class ProcessShardTransport(ShardTransport):
     def __init__(
         self,
         shard_index: int,
-        state: dict,
+        state: bytes,
         weight_blob: bytes | None,
         mp_context,
         queue_depth: int = 8,
@@ -497,8 +505,8 @@ class ShardWorker:
 
     Args:
         shard_index: position of this replica in the executor.
-        state: the replica's checkpoint
-            (:func:`~repro.samplers.checkpoint.sampler_state_dict`).
+        state: the replica's framed checkpoint bytes
+            (:func:`~repro.samplers.checkpoint.state_to_wire`).
         weight_fn: the replica's weight function, or ``None`` for the
             pairing samplers. For local workers it is pickled here, in
             the parent, so the spawn-safety contract is enforced
@@ -522,7 +530,7 @@ class ShardWorker:
     def __init__(
         self,
         shard_index: int,
-        state: dict,
+        state: bytes,
         weight_fn=None,
         options: ExecutorOptions | None = None,
         host: str | None = None,
@@ -632,6 +640,16 @@ class ShardWorker:
 
     def request(self, tag: str):
         """Send a ``tag`` request and block for its matching reply."""
+        return self.collect(tag, self.post(tag))
+
+    def post(self, tag: str) -> int:
+        """Send a ``tag`` request without waiting; return its token.
+
+        Every posted request must be answered through :meth:`collect`
+        before the next one is sent — the discipline :meth:`request`
+        keeps in one call. Posting to several workers before collecting
+        lets their replicas work on the request at the same time.
+        """
         if self._failure is not None:
             raise self._crash()
         token = self._token = self._token + 1
@@ -639,6 +657,10 @@ class ShardWorker:
             self.transport.send((tag, token))
         except TransportClosed as exc:
             raise self._closed(exc) from None
+        return token
+
+    def collect(self, tag: str, token: int):
+        """Block for the reply to the request :meth:`post` sent."""
         reply = self._get()
         if reply[0] != tag or reply[1] != token:
             self._failure = (
@@ -648,8 +670,8 @@ class ShardWorker:
             raise self._crash()
         return reply
 
-    def stop(self) -> dict:
-        """Stop the worker cleanly; return its final checkpoint state."""
+    def stop(self) -> bytes:
+        """Stop the worker cleanly; return its final framed checkpoint."""
         try:
             reply = self.request("stop")
         except WorkerCrashError:

@@ -10,12 +10,13 @@ rejected with typed errors at handshake/lease time.
 """
 
 import json
-import shutil
 import socket
 import struct
 import threading
 import time
+import zlib
 
+import numpy as np
 import pytest
 
 from repro import build_stream
@@ -230,6 +231,173 @@ class TestCheckpointFallback:
         assert service.streams() == ("gen",)
         assert service.get_stream("gen").clock == 100
         service.stop()
+
+
+# -- hostile format-5 checkpoints -------------------------------------------
+
+_CKPT_HEADER = struct.Struct("<4sBxxxIQ")
+
+
+def _reframe(doc) -> bytes:
+    """A CRC-valid frame-2 checkpoint around an arbitrary RSX2 document."""
+    payload = encode(doc)
+    return (
+        _CKPT_HEADER.pack(b"RPCK", 2, zlib.crc32(payload), len(payload))
+        + payload
+    )
+
+
+def _duplicate_first_edge(doc) -> None:
+    table = doc["reservoir"]
+    for column in ("u", "v"):
+        raw = table[column]
+        table[column] = raw[:8] + raw[:8] + raw[16:]
+
+
+#: CRC-valid payloads that each break one format-5 rule.
+HOSTILE_CHECKPOINTS = {
+    "unequal_column_lengths": lambda doc: doc["reservoir"].update(
+        rank=doc["reservoir"]["rank"][:-8]
+    ),
+    "ragged_column_bytes": lambda doc: doc["reservoir"].update(
+        time=doc["reservoir"]["time"] + b"\x00\x00\x00"
+    ),
+    "duplicate_reservoir_edge": _duplicate_first_edge,
+    "missing_header_field": lambda doc: doc.pop("threshold"),
+    "unknown_algorithm": lambda doc: doc.update(algorithm="wsd-x"),
+    "mistyped_header_field": lambda doc: doc.update(budget="many"),
+    "ranks_out_of_heap_order": lambda doc: doc["reservoir"].update(
+        rank=np.frombuffer(doc["reservoir"]["rank"], "<f8")[::-1].tobytes()
+    ),
+}
+
+
+def _hostile(blob: bytes, fault: str) -> bytes:
+    doc = decode(blob[_CKPT_HEADER.size:])
+    HOSTILE_CHECKPOINTS[fault](doc)
+    return _reframe(doc)
+
+
+def _sampler_blob() -> bytes:
+    from repro.samplers import WSD
+    from repro.samplers.checkpoint import sampler_state_dict, state_to_wire
+    from repro.weights.heuristic import GPSHeuristicWeight
+
+    sampler = WSD("triangle", 30, GPSHeuristicWeight(), rng=3)
+    edges = powerlaw_cluster(40, m=3, triangle_probability=0.6, rng=1)
+    sampler.process_batch(build_stream(edges, "light", beta=0.2, rng=2))
+    return state_to_wire(sampler_state_dict(sampler))
+
+
+@pytest.mark.parametrize("fault", sorted(HOSTILE_CHECKPOINTS))
+class TestHostileCheckpoints:
+    def test_decode_raises_protocol_error(self, fault):
+        from repro.samplers.checkpoint import state_from_wire
+
+        with pytest.raises(ProtocolError):
+            state_from_wire(_hostile(_sampler_blob(), fault))
+
+    def test_service_quarantines_and_falls_back(
+        self, events, tmp_path, fault
+    ):
+        directory = _checkpointed_state_dir(events, tmp_path)
+        shard = directory / "shard-0000-g000002.ckpt"
+        shard.write_bytes(_hostile(shard.read_bytes(), fault))
+        with pytest.warns(CorruptStateWarning, match="quarantined"):
+            restored = StreamSession.restore("gen", tmp_path)
+        assert restored.clock == 100  # generation 1 survives
+        names = {p.name for p in (directory / "quarantine").iterdir()}
+        assert "shard-0000-g000002.ckpt" in names
+        restored.close()
+
+    def test_host_answers_the_lease_with_an_error(self, fault):
+        agent = HostAgent()
+        thread = threading.Thread(target=agent.serve_forever, daemon=True)
+        thread.start()
+        try:
+            lease = ("lease", 0, _hostile(_sampler_blob(), fault),
+                     ("uniform", {}))
+            blob = frame_bytes(
+                FRAME_HELLO, hello_payload("coordinator")
+            ) + frame_bytes(FRAME_CONTROL, encode(lease))
+            text = _error_text(_exchange(agent.address, blob))
+            assert "ProtocolError" in text
+        finally:
+            agent.shutdown()
+            thread.join(timeout=5)
+
+
+class TestCorruptRepliesAreRefused:
+    def test_checkpoint_with_a_corrupt_shard_blob_commits_nothing(
+        self, events, tmp_path, monkeypatch
+    ):
+        session = StreamSession(
+            "refuse", StreamConfig(budget=200, seed=23, shards=2),
+            state_dir=tmp_path,
+        )
+        session.ingest(events[:100])
+        session.checkpoint()
+        session.ingest(events[100:200])
+        real_snapshot = session.executor.snapshot
+
+        def corrupt_snapshot():
+            blobs = real_snapshot()
+            mangled = bytearray(blobs[1])
+            mangled[-1] ^= 0x01
+            return [blobs[0], bytes(mangled)]
+
+        monkeypatch.setattr(session.executor, "snapshot", corrupt_snapshot)
+        with pytest.raises(ProtocolError, match="CRC"):
+            session.checkpoint()
+        directory = tmp_path / "refuse"
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["generation"] == 1
+        assert not list(directory.glob("*-g000002.*"))
+        session.close()
+
+    def test_remote_reply_with_a_bad_crc_closes_the_transport(self):
+        """A host whose snapshot reply fails its frame CRC is treated as
+        a crashed replica: the reply never reaches the protocol layer."""
+        from repro.errors import WorkerCrashError
+        from repro.streams.transport import accept_hello, write_frame
+        from repro.streams.workers import ShardWorker
+
+        blob = _sampler_blob()
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        host, port = listener.getsockname()[:2]
+
+        def corrupt_host():
+            conn, _ = listener.accept()
+            with conn:
+                reply, _auth = accept_hello(read_frame(conn), "host", auth=None)
+                conn.sendall(reply)
+                read_frame(conn)  # the lease
+                write_frame(conn, FRAME_CONTROL, encode(("lease", 0, "ok")))
+                _, payload = read_frame(conn)
+                token = decode(payload)[1]
+                mangled = bytearray(blob)
+                mangled[-1] ^= 0x01
+                write_frame(
+                    conn, FRAME_CONTROL,
+                    encode(("snapshot", token, bytes(mangled))),
+                )
+                read_frame(conn)  # until the coordinator hangs up
+
+        server = threading.Thread(target=corrupt_host, daemon=True)
+        server.start()
+        try:
+            worker = ShardWorker(
+                0, blob, weight_fn=None, host=f"{host}:{port}",
+                options=None,
+            )
+            with pytest.raises(WorkerCrashError, match="corrupt checkpoint"):
+                worker.request("snapshot")
+            assert not worker.is_alive()
+        finally:
+            listener.close()
+            server.join(timeout=5.0)
 
 
 def _raw_hello(version: int, role: str = "client") -> bytes:

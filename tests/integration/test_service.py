@@ -10,9 +10,14 @@ followed by that bit-identity assertion.
 
 import contextlib
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -633,6 +638,49 @@ class TestServiceCli:
             pytest.fail("the Ctrl-C escaped main() instead of stopping it")
         assert code == 0
         assert len(stopped) == 1
+
+    def test_sigint_stops_a_service_started_with_sigint_ignored(
+        self, events, tmp_path
+    ):
+        """A shell's ``cmd &`` starts the service with SIGINT ignored;
+        ``main`` restores the default handler, so SIGINT still exits 0
+        through the stop-time checkpoint (the generation advances)."""
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = (
+            src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        ).rstrip(os.pathsep)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.streams.service",
+                "--listen", "127.0.0.1:0",
+                "--state-dir", str(tmp_path),
+                "--checkpoint-interval", "0",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        manifest = tmp_path / "cli" / "manifest.json"
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line
+            address = line.strip().rsplit(" ", 1)[-1]
+            with ServiceClient(address) as client:
+                client.create_stream("cli", StreamConfig(budget=100, seed=2))
+                client.send_events(events[:300])
+                client.checkpoint()
+            generation = json.loads(manifest.read_text())["generation"]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            proc.stdout.close()
+        assert json.loads(manifest.read_text())["generation"] == generation + 1
+
 
 class TestSoak:
     """The headline scenario: socket ingest + concurrent queries +

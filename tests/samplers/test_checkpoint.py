@@ -1,7 +1,5 @@
 """Tests for sampler checkpoint/restore (WSD and the kernel family)."""
 
-import json
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,13 +7,11 @@ from repro.graph.generators import powerlaw_cluster
 from repro.samplers import GPS, GPSA, WRS, ThinkD, Triest
 from repro.samplers.checkpoint import (
     load_sampler,
-    load_wsd,
     restore_sampler,
-    restore_wsd,
     sampler_state_dict,
     save_sampler,
-    save_wsd,
-    wsd_state_dict,
+    state_from_wire,
+    state_to_wire,
 )
 from repro.samplers.wsd import WSD
 from repro.streams.scenarios import light_deletion_stream
@@ -37,8 +33,8 @@ class TestCheckpoint:
         sampler = fresh_sampler()
         for event in stream[: len(stream) // 2]:
             sampler.process(event)
-        state = wsd_state_dict(sampler)
-        restored = restore_wsd(state, GPSHeuristicWeight())
+        state = sampler_state_dict(sampler)
+        restored = restore_sampler(state, GPSHeuristicWeight())
         assert restored.estimate == sampler.estimate
         assert restored.tau_p == sampler.tau_p
         assert restored.tau_q == sampler.tau_q
@@ -56,8 +52,8 @@ class TestCheckpoint:
         first = fresh_sampler()
         for event in stream[:half]:
             first.process(event)
-        restored = restore_wsd(
-            wsd_state_dict(first), GPSHeuristicWeight()
+        restored = restore_sampler(
+            sampler_state_dict(first), GPSHeuristicWeight()
         )
         for event in stream[half:]:
             restored.process(event)
@@ -78,7 +74,9 @@ class TestCheckpoint:
 
         first = fresh_sampler()
         first.process_batch(list(stream[:half]))
-        restored = restore_wsd(wsd_state_dict(first), GPSHeuristicWeight())
+        restored = restore_sampler(
+            sampler_state_dict(first), GPSHeuristicWeight()
+        )
         restored.process_batch(list(stream[half:]))
         assert restored.estimate == uninterrupted.estimate
         assert restored.tau_q == uninterrupted.tau_q
@@ -91,7 +89,9 @@ class TestCheckpoint:
         for event in stream[: len(stream) // 2]:
             sampler.process(event)
         assert sampler.tau_q_generation > 0
-        restored = restore_wsd(wsd_state_dict(sampler), GPSHeuristicWeight())
+        restored = restore_sampler(
+            sampler_state_dict(sampler), GPSHeuristicWeight()
+        )
         assert restored.tau_q_generation == sampler.tau_q_generation
         assert restored._prob_cache == {}
         # Probabilities recomputed after restore match the originals.
@@ -100,75 +100,52 @@ class TestCheckpoint:
                 edge
             ) == sampler.inclusion_probability(edge)
 
-    def test_v1_checkpoint_still_restores(self, stream):
-        """Format-1 (WSD-only) checkpoints written before the kernel
-        refactor restore correctly: τq maps onto the kernel threshold
-        and the missing generation counter resets to zero."""
-        sampler = fresh_sampler()
-        for event in stream[:300]:
-            sampler.process(event)
-        state = wsd_state_dict(sampler)
-        v1 = {
-            "format": 1,
-            "pattern": state["pattern"],
-            "budget": state["budget"],
-            "rank_fn": state["rank_fn"],
-            "tau_p": state["tau_p"],
-            "tau_q": state["tau_q"],
-            "estimate": state["estimate"],
-            "time": state["time"],
-            "reservoir": [
-                {k: e[k] for k in ("u", "v", "rank", "weight", "time")}
-                for e in state["reservoir"]
-            ],
-            "rng_state": state["rng_state"],
-        }
-        restored = restore_wsd(v1, GPSHeuristicWeight())
-        assert restored.estimate == sampler.estimate
-        assert restored.tau_q == sampler.tau_q
-        assert restored.tau_q_generation == 0
-        assert set(restored.sampled_edges()) == set(sampler.sampled_edges())
-
-    def test_state_is_json_serialisable(self, stream):
+    def test_wire_round_trip_is_byte_stable(self, stream):
+        """The framed state decodes to a state that re-encodes to the
+        same bytes: equal sampler states give equal bytes."""
         sampler = fresh_sampler()
         for event in stream[:200]:
             sampler.process(event)
-        text = json.dumps(wsd_state_dict(sampler))
-        assert json.loads(text)["pattern"] == "triangle"
+        blob = state_to_wire(sampler_state_dict(sampler))
+        state = state_from_wire(blob)
+        assert state["pattern"] == "triangle"
+        assert state["format"] == 5
+        assert state_to_wire(state) == blob
 
     def test_file_round_trip(self, stream, tmp_path):
         sampler = fresh_sampler()
         for event in stream[:300]:
             sampler.process(event)
-        path = tmp_path / "wsd.json"
-        save_wsd(sampler, path)
-        restored = load_wsd(path, GPSHeuristicWeight())
+        path = tmp_path / "wsd.ckpt"
+        save_sampler(sampler, path)
+        restored = load_sampler(path, GPSHeuristicWeight())
         assert restored.estimate == sampler.estimate
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            load_wsd(tmp_path / "missing.json", GPSHeuristicWeight())
+            load_sampler(tmp_path / "missing.ckpt", GPSHeuristicWeight())
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigurationError):
-            load_wsd(path, GPSHeuristicWeight())
+            load_sampler(path, GPSHeuristicWeight())
 
     def test_unsupported_format_version(self, stream):
         sampler = fresh_sampler()
-        state = wsd_state_dict(sampler)
+        state = sampler_state_dict(sampler)
         state["format"] = 999
         with pytest.raises(ConfigurationError):
-            restore_wsd(state, GPSHeuristicWeight())
+            restore_sampler(state, GPSHeuristicWeight())
 
     def test_string_vertices_supported(self):
         sampler = WSD("triangle", 10, GPSHeuristicWeight(), rng=0)
         from repro.graph.stream import EdgeEvent
 
         sampler.process(EdgeEvent.insertion("alice", "bob"))
-        restored = restore_wsd(
-            wsd_state_dict(sampler), GPSHeuristicWeight()
+        restored = restore_sampler(
+            state_from_wire(state_to_wire(sampler_state_dict(sampler))),
+            GPSHeuristicWeight(),
         )
         assert ("alice", "bob") in set(restored.sampled_edges())
 
@@ -178,7 +155,7 @@ class TestCheckpoint:
 
         sampler.process(EdgeEvent.insertion((1, 2), (3, 4)))
         with pytest.raises(ConfigurationError):
-            wsd_state_dict(sampler)
+            sampler_state_dict(sampler)
 
 
 def _insertion_only(stream):
@@ -367,7 +344,7 @@ class TestKernelCheckpoints:
         sampler = factory()
         for event in stream[:400]:
             sampler.process(event)
-        path = tmp_path / "sampler.json"
+        path = tmp_path / "sampler.ckpt"
         save_sampler(sampler, path)
         weight_fn = GPSHeuristicWeight() if needs_weight_fn else None
         restored = load_sampler(path, weight_fn)
@@ -407,12 +384,51 @@ class TestKernelCheckpoints:
         with pytest.raises(ConfigurationError):
             sampler_state_dict(sampler)
 
-    def test_wsd_aliases_reject_other_algorithms(self, stream):
-        thinkd = ThinkD("triangle", 30, rng=0)
-        with pytest.raises(ConfigurationError):
-            wsd_state_dict(thinkd)
-        gpsa = GPSA("triangle", 30, GPSHeuristicWeight(), rng=0)
-        for event in stream[:50]:
-            gpsa.process(event)
-        with pytest.raises(ConfigurationError):
-            restore_wsd(sampler_state_dict(gpsa), GPSHeuristicWeight())
+
+_WIRE_CASES = {
+    "wsd": lambda pattern: WSD(pattern, 40, GPSHeuristicWeight(), rng=9),
+    "gps": lambda pattern: GPS(pattern, 40, GPSHeuristicWeight(), rng=9),
+    "gps-a": lambda pattern: GPSA(pattern, 40, GPSHeuristicWeight(), rng=9),
+    "thinkd": lambda pattern: ThinkD(pattern, 40, rng=9),
+    "triest": lambda pattern: Triest(pattern, 40, rng=9),
+    "wrs": lambda pattern: WRS(pattern, 40, rng=9),
+}
+
+
+class TestWireContinuations:
+    """Every algorithm × pattern × arena setting continues bit-identically
+    through the format-5 bytes, on the batched path (the arena switch is
+    construction-time, so the restore runs under the recording's)."""
+
+    @pytest.mark.parametrize("arena", ["on", "off"])
+    @pytest.mark.parametrize("pattern", ["triangle", "wedge"])
+    @pytest.mark.parametrize("name", sorted(_WIRE_CASES))
+    def test_resume_through_the_wire(self, stream, name, pattern, arena):
+        from repro.samplers import kernel as kernel_mod
+
+        events = _insertion_only(stream) if name == "gps" else list(stream)
+        half = len(events) // 2
+        previous = (
+            kernel_mod.set_arena_cutoff(4),
+            kernel_mod.set_arena_acceleration(arena == "on"),
+        )
+        try:
+            uninterrupted = _WIRE_CASES[name](pattern)
+            uninterrupted.process_batch(events)
+            first = _WIRE_CASES[name](pattern)
+            first.process_batch(events[:half])
+            blob = state_to_wire(sampler_state_dict(first))
+            restored = restore_sampler(
+                state_from_wire(blob), getattr(first, "weight_fn", None)
+            )
+        finally:
+            kernel_mod.set_arena_cutoff(previous[0])
+            kernel_mod.set_arena_acceleration(previous[1])
+        assert (first.sampled_graph.arena is not None) == (
+            arena == "on" and name not in ("thinkd", "triest")
+            and pattern == "triangle"
+        )
+        assert state_to_wire(sampler_state_dict(restored)) == blob
+        restored.process_batch(events[half:])
+        assert restored.estimate == uninterrupted.estimate
+        assert restored.sample_size == uninterrupted.sample_size

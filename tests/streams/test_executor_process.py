@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError, WorkerCrashError
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent
 from repro.samplers import GPS, GPSA, WRS, WSD, ThinkD, Triest
+from repro.samplers.checkpoint import state_from_wire
 from repro.streams import ShardedStreamExecutor, build_stream
 from repro.streams.executor import ExecutorOptions
 from repro.utils.rng import spawn_generators
@@ -164,6 +165,27 @@ class TestCrashRestart:
         finally:
             proc.close()
 
+    def test_failed_snapshot_leaves_no_reply_behind(self, streams):
+        """The snapshot asks every worker at once; when one is dead, the
+        replies already owed by the others are collected before the
+        crash is raised, so their next request pairs with its reply."""
+        stream = streams["light"]
+        make = SAMPLER_CASES[0][2]
+        half = len(stream) // 2
+        serial = run_serial(make, "partition", stream)
+        proc = build_executor(make, "process", "partition", chunk_size=64)
+        try:
+            proc.process_batch(stream[:half])
+            proc.snapshot()
+            proc._workers[1].kill()  # its queues close: the post fails
+            with pytest.raises(WorkerCrashError, match="shard 1"):
+                proc.snapshot()
+            proc.restart_shard(1)
+            proc.process_batch(stream[half:])
+            assert proc.estimate == serial.estimate
+        finally:
+            proc.close()
+
     def test_restart_requires_a_checkpoint(self, streams):
         stream = streams["light"]
         make = SAMPLER_CASES[0][2]
@@ -257,9 +279,11 @@ class TestLifecycle:
         executor = run_serial(
             SAMPLER_CASES[0][2], "partition", streams["light"]
         )
-        states = executor.snapshot()
-        assert len(states) == executor.num_shards
-        assert all(state["algorithm"] == "wsd" for state in states)
+        blobs = executor.snapshot()
+        assert len(blobs) == executor.num_shards
+        assert all(
+            state_from_wire(blob)["algorithm"] == "wsd" for blob in blobs
+        )
 
 
 class TestValidation:

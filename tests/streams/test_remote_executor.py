@@ -10,6 +10,7 @@ machines; nothing in the coordinator path knows the difference.
 """
 
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import powerlaw_cluster
 from repro.graph.stream import EdgeEvent, EventBlock
 from repro.samplers import GPS, GPSA, WRS, WSD, ThinkD, Triest
-from repro.samplers.checkpoint import sampler_state_dict
+from repro.samplers.checkpoint import sampler_state_dict, state_to_wire
 from repro.streams import ShardedStreamExecutor, ShardWorker, build_stream
 from repro.streams.executor import ExecutorOptions
 from repro.streams.host import HostAgent, spawn_local_host
@@ -309,7 +310,9 @@ class TestFaultInjection:
         server.start()
         try:
             make = SAMPLER_CASES[4][2]  # thinkd: no weight_fn needed
-            state = sampler_state_dict(make(spawn_generators(1, 1)[0]))
+            state = state_to_wire(
+                sampler_state_dict(make(spawn_generators(1, 1)[0]))
+            )
             transport = TcpShardTransport(0, state, None, agent.address)
             header = _FRAME_HEADER.pack(
                 _FRAME_MAGIC, PROTOCOL_VERSION, 1, 50
@@ -329,7 +332,9 @@ class TestFaultInjection:
         server.start()
         try:
             make = SAMPLER_CASES[4][2]
-            state = sampler_state_dict(make(spawn_generators(1, 1)[0]))
+            state = state_to_wire(
+                sampler_state_dict(make(spawn_generators(1, 1)[0]))
+            )
             transport = TcpShardTransport(0, state, None, agent.address)
             transport._sock.sendall(
                 _FRAME_HEADER.pack(b"EVIL", PROTOCOL_VERSION, 1, 0)
@@ -363,7 +368,9 @@ class TestFaultInjection:
         server.start()
         try:
             make = SAMPLER_CASES[4][2]
-            state = sampler_state_dict(make(spawn_generators(1, 1)[0]))
+            state = state_to_wire(
+                sampler_state_dict(make(spawn_generators(1, 1)[0]))
+            )
             with pytest.raises(ProtocolError, match="version"):
                 TcpShardTransport(0, state, None, f"{host}:{port}")
         finally:
@@ -377,7 +384,7 @@ class TestFaultInjection:
         sampler = make(spawn_generators(1, 1)[0])
         worker = ShardWorker(
             3,
-            sampler_state_dict(sampler),
+            state_to_wire(sampler_state_dict(sampler)),
             weight_fn=sampler.weight_fn,
             host=agents[0].address,
         )
@@ -500,7 +507,9 @@ class TestHostAgentCli:
             make = SAMPLER_CASES[4][2]
             sampler = make(spawn_generators(1, 1)[0])
             reference = make(spawn_generators(1, 1)[0])
-            worker = ShardWorker(0, sampler_state_dict(sampler), host=address)
+            worker = ShardWorker(
+                0, state_to_wire(sampler_state_dict(sampler)), host=address
+            )
             events = streams["light"][:200]
             worker.send_block(EventBlock.from_events(events))
             reference.process_batch(events)
@@ -508,10 +517,42 @@ class TestHostAgentCli:
             assert shard_time == reference.time
             assert estimate == reference.estimate
             state = worker.stop()
-            assert state == sampler_state_dict(reference)
+            # Byte equality: the replica's framed checkpoint is exactly
+            # what the reference state encodes to.
+            assert state == state_to_wire(sampler_state_dict(reference))
         finally:
             proc.terminate()
             proc.wait(timeout=10.0)
+            proc.stdout.close()
+
+    def test_sigint_stops_an_agent_started_with_sigint_ignored(self):
+        """A shell's ``cmd &`` starts the agent with SIGINT ignored;
+        ``main`` restores the default handler, so SIGINT still ends it
+        cleanly (exit 0) instead of being dropped."""
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = (
+            src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        ).rstrip(os.pathsep)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.streams.host",
+                "--listen", "127.0.0.1:0",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            proc.stdout.close()
 
     @pytest.mark.parametrize("exit_with", [KeyboardInterrupt, RuntimeError])
     def test_agent_shut_down_however_serving_ends(self, monkeypatch, exit_with):

@@ -24,7 +24,7 @@ from repro.samplers import WSD, ThinkD
 from repro.streams import ShardedStreamExecutor, build_stream
 from repro.streams.executor import ExecutorOptions
 from repro.streams.workers import ShardWorker
-from repro.samplers.checkpoint import sampler_state_dict
+from repro.samplers.checkpoint import sampler_state_dict, state_to_wire
 from repro.utils.rng import spawn_generators
 from repro.weights.heuristic import GPSHeuristicWeight
 
@@ -81,7 +81,8 @@ class TestTransportParity:
         # processing.
         reference = WSD("triangle", 60, GPSHeuristicWeight(), rng=3)
         worker = ShardWorker(
-            0, sampler_state_dict(reference), GPSHeuristicWeight(),
+            0, state_to_wire(sampler_state_dict(reference)),
+            GPSHeuristicWeight(),
             options=ExecutorOptions(chunk_size=8),
         )
         try:
@@ -173,7 +174,8 @@ class TestWorkerShmUnit:
     def test_send_block_round_trip(self, stream):
         reference = WSD("triangle", 60, GPSHeuristicWeight(), rng=3)
         worker = ShardWorker(
-            0, sampler_state_dict(reference), GPSHeuristicWeight(),
+            0, state_to_wire(sampler_state_dict(reference)),
+            GPSHeuristicWeight(),
             options=ExecutorOptions(chunk_size=32),
         )
         try:
@@ -191,7 +193,8 @@ class TestWorkerShmUnit:
     def test_slot_ring_released_on_kill(self):
         reference = WSD("triangle", 20, GPSHeuristicWeight(), rng=1)
         worker = ShardWorker(
-            0, sampler_state_dict(reference), GPSHeuristicWeight()
+            0, state_to_wire(sampler_state_dict(reference)),
+            GPSHeuristicWeight()
         )
         name = worker.transport._shm.name
         worker.kill()

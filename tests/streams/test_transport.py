@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.graph.stream import EventBlock
+from repro.graph.stream import EdgeEvent, EventBlock
 from repro.samplers.checkpoint import state_from_wire, state_to_wire
 from repro.streams.transport import (
     FRAME_BLOCK,
@@ -188,39 +188,48 @@ class TestBlockFrames:
 
 
 class TestCheckpointWire:
-    STATE = {"format": "x/v1", "budget": 60, "items": [1, 2.5, "a"]}
+    @pytest.fixture
+    def blob(self):
+        from repro.samplers import WSD
+        from repro.samplers.checkpoint import sampler_state_dict
+        from repro.weights.heuristic import GPSHeuristicWeight
 
-    def test_round_trip(self):
-        assert state_from_wire(state_to_wire(self.STATE)) == self.STATE
+        sampler = WSD("triangle", 60, GPSHeuristicWeight(), rng=2)
+        sampler.process_batch(
+            [EdgeEvent.insertion(i, j) for i in range(12) for j in range(i + 1, 12)]
+        )
+        return state_to_wire(sampler_state_dict(sampler))
 
-    def test_truncation_raises(self):
-        blob = state_to_wire(self.STATE)
+    def test_round_trip(self, blob):
+        assert state_to_wire(state_from_wire(blob)) == blob
+
+    def test_truncation_raises(self, blob):
         for cut in (0, 4, len(blob) // 2, len(blob) - 1):
             with pytest.raises(ProtocolError):
                 state_from_wire(blob[:cut])
 
-    def test_bad_magic_raises(self):
-        blob = bytearray(state_to_wire(self.STATE))
+    def test_bad_magic_raises(self, blob):
+        blob = bytearray(blob)
         blob[0] ^= 0xFF
         with pytest.raises(ProtocolError, match="magic"):
             state_from_wire(bytes(blob))
 
-    def test_cross_version_raises(self):
-        blob = bytearray(state_to_wire(self.STATE))
+    def test_cross_version_raises(self, blob):
+        blob = bytearray(blob)
         blob[4] += 1  # the version byte
         with pytest.raises(ProtocolError, match="version"):
             state_from_wire(bytes(blob))
 
-    def test_payload_corruption_fails_crc(self):
-        blob = bytearray(state_to_wire(self.STATE))
-        # Flip one payload byte to another value that still decodes as
-        # JSON-compatible bytes — the CRC must catch it regardless.
+    def test_payload_corruption_fails_crc(self, blob):
+        blob = bytearray(blob)
+        # Flip one payload byte to another value that still decodes —
+        # the CRC must catch it regardless.
         blob[-2] ^= 0x01
         with pytest.raises(ProtocolError):
             state_from_wire(bytes(blob))
 
-    def test_extra_bytes_fail_length_check(self):
-        blob = state_to_wire(self.STATE) + b" "
+    def test_extra_bytes_fail_length_check(self, blob):
+        blob = blob + b" "
         with pytest.raises(ProtocolError):
             state_from_wire(blob)
 
