@@ -438,8 +438,8 @@ def _check_header(state, error: type[Exception]) -> str:
     learned = state.get("learned_weight")
     if learned is not None and not (
         isinstance(learned.get("weights"), list)
-        and all(isinstance(w, float) for w in learned["weights"])
-        and isinstance(learned.get("bias"), float)
+        and all(_is_number(w) for w in learned["weights"])
+        and _is_number(learned.get("bias"))
     ):
         raise error("checkpoint learned-weight block is malformed")
     for table in tables:
@@ -453,6 +453,10 @@ def _check_header(state, error: type[Exception]) -> str:
     if (state["arena_cutoff"] is None) != (state["slabbed"] is None):
         raise error("checkpoint arena cutoff and slabbed set disagree")
     return name
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
 
 
 def _decode_column(raw, dtype, where: str):
