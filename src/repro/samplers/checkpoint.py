@@ -40,10 +40,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.graph.edges import canonical_edge
+from repro.patterns.matching import get_pattern
 from repro.samplers.gps import GPS
 from repro.samplers.gps_a import GPSA
 from repro.samplers.kernel import PairingSamplerKernel, ThresholdSamplerKernel
 from repro.samplers.random_pairing import RandomPairingReservoir
+from repro.samplers.ranks import get_rank_function
 from repro.samplers.thinkd import ThinkD
 from repro.samplers.triest import Triest
 from repro.samplers.wrs import WRS
@@ -155,6 +158,12 @@ _SCHEMA = {
     ),
 }
 _RP_COUNTERS = ("d_i", "d_o", "population")
+#: Header counters no writer makes negative.
+_COUNTS = ("time", "threshold_generation", "tau")
+#: Tables whose rows are sampled edges (one edge in at most one row).
+_EDGE_TABLES = ("reservoir", "sample", "waiting_room")
+#: Validates rng states without touching a live generator.
+_RNG_PROBE = np.random.PCG64(0)
 
 
 def _label_column(labels: list):
@@ -432,9 +441,44 @@ def _check_header(state, error: type[Exception]) -> str:
                 f"{type(value).__name__}"
             )
     if "rp" in fields and not all(
-        type(state["rp"].get(key)) is int for key in _RP_COUNTERS
+        type(count := state["rp"].get(key)) is int and count >= 0
+        for key in _RP_COUNTERS
     ):
-        raise error(f"checkpoint RP counters are not ints: {state['rp']!r}")
+        raise error(
+            f"checkpoint RP counters are not non-negative ints: "
+            f"{state['rp']!r}"
+        )
+    for field in _COUNTS:
+        if field in fields and state[field] < 0:
+            raise error(f"checkpoint header {field!r} is negative")
+    if "threshold" in fields and not state["threshold"] >= 0:  # NaN too
+        raise error(f"checkpoint threshold {state['threshold']!r} is invalid")
+    try:
+        pattern = get_pattern(state["pattern"])
+        if "rank_fn" in fields:
+            get_rank_function(state["rank_fn"])
+    except ConfigurationError as exc:
+        raise error(f"checkpoint {exc}") from None
+    budget = state["budget"]
+    if budget < pattern.num_edges:
+        raise error(
+            f"checkpoint budget {budget} is below the pattern's "
+            f"{pattern.num_edges} edges"
+        )
+    if name == "wrs" and not 1 <= state["waiting_room_capacity"] < budget:
+        raise error(
+            "checkpoint waiting-room capacity "
+            f"{state['waiting_room_capacity']} leaves no room in a budget "
+            f"of {budget}"
+        )
+    if state["arena_cutoff"] is not None and state["arena_cutoff"] < 2:
+        raise error(
+            f"checkpoint arena cutoff {state['arena_cutoff']} is below 2"
+        )
+    try:
+        _RNG_PROBE.state = state["rng_state"]
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise error(f"checkpoint rng state is unusable: {exc!r}") from None
     learned = state.get("learned_weight")
     if learned is not None and not (
         isinstance(learned.get("weights"), list)
@@ -481,13 +525,36 @@ def _decode_column(raw, dtype, where: str):
     return np.frombuffer(raw, dtype=dtype)
 
 
-def _distinct_edges(table: dict) -> bool:
-    u, v = table["u"], table["v"]
-    if isinstance(u, np.ndarray) and isinstance(v, np.ndarray):
+def _check_edges(tables: list[dict], interner) -> None:
+    """Every sampled edge is canonical (``u < v``, so no self-loop),
+    held once across ``tables`` and between interned vertices."""
+    us = [table["u"] for table in tables]
+    vs = [table["v"] for table in tables]
+    if all(isinstance(column, np.ndarray) for column in (*us, *vs, interner)):
+        u, v = np.concatenate(us), np.concatenate(vs)
+        canonical = bool(np.all(u < v))
         order = np.lexsort((v, u))
-        same = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
-        return not same.any()
-    return len(set(_edges(table))) == len(u)
+        distinct = not (
+            (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
+        ).any()
+        interned = bool(np.isin(np.concatenate((u, v)), interner).all())
+    else:
+        edges = [edge for table in tables for edge in _edges(table)]
+        canonical = all(u != v and canonical_edge(u, v) == (u, v)
+                        for u, v in edges)
+        distinct = len(set(edges)) == len(edges)
+        known = set(_labels(interner))
+        interned = all(u in known and v in known for u, v in edges)
+    if not canonical:
+        raise ProtocolError(
+            "checkpoint holds a self-loop or an edge not in canonical order"
+        )
+    if not distinct:
+        raise ProtocolError("checkpoint holds an edge twice")
+    if not interned:
+        raise ProtocolError(
+            "checkpoint samples an edge on a vertex it never interned"
+        )
 
 
 def _check_columns(name: str, state: dict) -> None:
@@ -503,27 +570,40 @@ def _check_columns(name: str, state: dict) -> None:
                 f"checkpoint table {table!r} has columns of unequal "
                 f"lengths {sorted(lengths)}"
             )
-        if "u" in columns and not _distinct_edges(columns):
-            raise ProtocolError(
-                f"checkpoint table {table!r} holds an edge twice"
-            )
-    labels = _labels(state["interner"]["label"])
+    interner = state["interner"]["label"]
+    labels = _labels(interner)
     if len(set(labels)) != len(labels):
         raise ProtocolError("checkpoint interner holds a label twice")
     if state["slabbed"] is not None and not set(
         _labels(state["slabbed"]["vertex"])
     ) <= set(labels):
         raise ProtocolError("checkpoint slabs a vertex it never interned")
+    _check_edges(
+        [state[table] for table in _EDGE_TABLES if table in tables], interner
+    )
+    # Each sample within the capacity its budget gives it: the
+    # fixed-memory bound a restored replica must keep.
+    budget = state["budget"]
+    capacity = {"reservoir": budget, "sample": budget}
+    if name == "wrs":
+        room = state["waiting_room_capacity"]
+        capacity.update(sample=budget - room, waiting_room=room)
+    for table, limit in capacity.items():
+        if table in tables and len(state[table]["u"]) > limit:
+            raise ProtocolError(
+                f"checkpoint {table} holds {len(state[table]['u'])} edges, "
+                f"more than its capacity of {limit}"
+            )
     reservoir = state.get("reservoir")
     if reservoir is not None:
-        if len(reservoir["rank"]) > state["budget"]:
-            raise ProtocolError("checkpoint reservoir exceeds its budget")
         rank = reservoir["rank"]
         parents = rank[(np.arange(1, len(rank)) - 1) // 2]
         if not np.all(parents <= rank[1:]):
             raise ProtocolError(
                 "checkpoint reservoir ranks are not in heap order"
             )
+        if not np.all(reservoir["weight"] > 0):  # NaN too; ranks need w > 0
+            raise ProtocolError("checkpoint reservoir holds a weight <= 0")
 
 
 def _decoded(doc) -> dict:
@@ -740,15 +820,6 @@ def _restore_threshold(sampler: ThresholdSamplerKernel, state: dict) -> None:
     _restore_slabs(sampler, state)
 
 
-def _set_rng_state(sampler, state: dict) -> None:
-    try:
-        sampler.rng.bit_generator.state = state["rng_state"]
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigurationError(
-            f"checkpoint rng state is unusable: {exc!r}"
-        ) from None
-
-
 def restore_sampler(
     state: dict,
     weight_fn: WeightFunction | None = None,
@@ -784,7 +855,7 @@ def restore_sampler(
             rank_fn=state["rank_fn"],
             rng=np.random.default_rng(),
         )
-        _set_rng_state(sampler, state)
+        sampler.rng.bit_generator.state = state["rng_state"]
         sampler._estimate = float(state["estimate"])
         sampler._time = state["time"]
         _restore_threshold(sampler, state)
@@ -804,7 +875,7 @@ def restore_sampler(
         capacity = state["waiting_room_capacity"]
         sampler.waiting_room_capacity = capacity
         sampler._rp = RandomPairingReservoir(budget - capacity, sampler.rng)
-    _set_rng_state(sampler, state)
+    sampler.rng.bit_generator.state = state["rng_state"]
     sampler._time = state["time"]
     _restore_graph_prefix(sampler, state)
     rp = sampler._rp
@@ -926,11 +997,16 @@ def check_state_wire(blob) -> None:
 def state_from_wire(blob) -> dict:
     """Decode and validate a frame built by :func:`state_to_wire`.
 
-    Every violation — framing, CRC, a missing header field, an unknown
-    algorithm, a column whose byte length is not a multiple of its item
-    size, columns of unequal length in one table, an edge held twice —
-    raises :class:`~repro.errors.ProtocolError`. Format-4 JSON frames
-    (frame version 1) are translated on the way in.
+    The one validator of checkpoint bytes: every violation — framing,
+    CRC, a missing or out-of-range header field, an unknown algorithm,
+    pattern or rank family, a column whose byte length is not a
+    multiple of its item size, columns of unequal length in one table,
+    an edge held twice, out of canonical order or on a vertex never
+    interned, a sample over its capacity (``docs/protocol.md`` §4.1
+    lists them all) — raises :class:`~repro.errors.ProtocolError`, so a
+    state it returns is one :func:`restore_sampler` rebuilds as its
+    writer left it. Format-4 JSON frames (frame version 1) are
+    translated on the way in.
     """
     version, payload = _unframe(blob)
     if version == _STATE_WIRE_V4:

@@ -24,6 +24,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.errors import EdgeExistsError
 from repro.graph.edges import Edge
 from repro.patterns.base import Pattern
 from repro.samplers.kernel import KERNEL_GPSA, ThresholdSamplerKernel
@@ -70,6 +71,8 @@ class GPSA(ThresholdSamplerKernel):
             # slot: the ghost carries no information, so replace it with
             # the fresh arrival (the one departure from pure laziness
             # needed to keep edge keys unique).
+            if edge not in self._tagged:
+                raise EdgeExistsError(f"edge {edge!r} is already sampled")
             self._reservoir.remove(edge)
             self._drop_state(edge)
 

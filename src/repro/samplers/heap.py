@@ -27,7 +27,11 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterator
 
-__all__ = ["IndexedMinHeap"]
+__all__ = ["DuplicateKeyError", "IndexedMinHeap"]
+
+
+class DuplicateKeyError(KeyError):
+    """A key pushed into an :class:`IndexedMinHeap` is already in it."""
 
 
 class IndexedMinHeap:
@@ -98,7 +102,7 @@ class IndexedMinHeap:
     def push(self, key: Hashable, priority: float) -> None:
         """Insert ``key`` with ``priority``. Raises if the key exists."""
         if key in self._position:
-            raise KeyError(f"key {key!r} already in heap")
+            raise DuplicateKeyError(f"key {key!r} already in heap")
         self._heap.append((priority, key))
         self._position[key] = len(self._heap) - 1
         self._sift_up(len(self._heap) - 1)
@@ -134,7 +138,7 @@ class IndexedMinHeap:
         if not self._heap:
             raise IndexError("replace_min on empty heap")
         if key in self._position:
-            raise KeyError(f"key {key!r} already in heap")
+            raise DuplicateKeyError(f"key {key!r} already in heap")
         old_priority, old_key = self._heap[0]
         del self._position[old_key]
         self._heap[0] = (priority, key)

@@ -47,7 +47,7 @@ from repro.patterns.cliques import FourClique, KClique, Triangle
 from repro.patterns.paths import Wedge, WedgeDeltaTracker
 from repro.patterns.temporal import ArrivalTimeTracker
 from repro.samplers.base import SampledGraphMixin, SubgraphCountingSampler
-from repro.samplers.heap import IndexedMinHeap
+from repro.samplers.heap import DuplicateKeyError, IndexedMinHeap
 from repro.samplers.random_pairing import RandomPairingReservoir
 from repro.samplers.ranks import (
     InverseUniformRank,
@@ -498,7 +498,12 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
             )
         self.last_weight = weight
         rank = self.rank_fn.rank(weight, self.rng)
-        self._insert(edge, weight, rank)
+        try:
+            self._insert(edge, weight, rank)
+        except DuplicateKeyError:
+            raise EdgeExistsError(
+                f"edge {edge!r} is already sampled"
+            ) from None
 
     def _insert(self, edge: Edge, weight: float, rank: float) -> None:
         """Reservoir policy: place (or reject) an edge with known rank."""
@@ -1170,10 +1175,6 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
                                 if s is None:
                                     adj[u] = {v}
                                     intern(u)
-                                elif v in s:
-                                    raise EdgeExistsError(
-                                        f"edge {edge!r} already present"
-                                    )
                                 else:
                                     s.add(v)
                                 s = adj.get(v)
@@ -1221,10 +1222,6 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
                                 if s is None:
                                     adj[u] = {v}
                                     intern(u)
-                                elif v in s:
-                                    raise EdgeExistsError(
-                                        f"edge {edge!r} already present"
-                                    )
                                 else:
                                     s.add(v)
                                 s = adj.get(v)
@@ -1265,29 +1262,16 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
                             # it with the fresh arrival (the one
                             # departure from pure laziness needed to
                             # keep edge keys unique).
+                            if edge not in tagged:
+                                raise EdgeExistsError(
+                                    f"edge {edge!r} is already sampled"
+                                )
                             res_remove(edge)
                             res_size -= 1
                             del weights[edge]
                             del edge_times[edge]
                             cache.pop(edge, None)
-                            if edge in tagged:
-                                tagged.discard(edge)
-                            else:
-                                s = adj[u]
-                                s.remove(v)
-                                if not s:
-                                    del adj[u]
-                                s = adj[v]
-                                s.remove(u)
-                                if not s:
-                                    del adj[v]
-                                graph._num_edges -= 1
-                                if wt is not None:
-                                    wt_remove(edge)
-                                    if att_remove is not None:
-                                        att_remove(edge)
-                                if note_remove is not None and arena_slabs:
-                                    note_remove(u, v)
+                            tagged.discard(edge)
                         if res_size < budget:
                             res_push(edge, rank)
                             res_size += 1
@@ -1297,10 +1281,6 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
                             if s is None:
                                 adj[u] = {v}
                                 intern(u)
-                            elif v in s:
-                                raise EdgeExistsError(
-                                    f"edge {edge!r} already present"
-                                )
                             else:
                                 s.add(v)
                             s = adj.get(v)
@@ -1362,10 +1342,6 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
                                 if s is None:
                                     adj[u] = {v}
                                     intern(u)
-                                elif v in s:
-                                    raise EdgeExistsError(
-                                        f"edge {edge!r} already present"
-                                    )
                                 else:
                                     s.add(v)
                                 s = adj.get(v)
@@ -1535,6 +1511,10 @@ class ThresholdSamplerKernel(SampledGraphMixin, SubgraphCountingSampler):
                                     cache[other] = p
                                 value /= p
                             estimate -= value
+        except DuplicateKeyError:  # a reservoir push of a sampled edge
+            raise EdgeExistsError(
+                f"edge {edge!r} is already sampled"
+            ) from None
         finally:
             self._estimate = estimate
             self._time = time_now

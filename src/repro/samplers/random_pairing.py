@@ -19,7 +19,7 @@ from collections.abc import Hashable, Iterator
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EdgeExistsError
 from repro.utils.rng import ensure_rng
 
 __all__ = ["RandomPairingReservoir"]
@@ -86,7 +86,7 @@ class RandomPairingReservoir:
         evicted item (otherwise ``None``).
         """
         if item in self._index:
-            raise ConfigurationError(f"item {item!r} already sampled")
+            raise EdgeExistsError(f"item {item!r} is already sampled")
         self.population += 1
         uncompensated = self.d_i + self.d_o
         if uncompensated == 0:

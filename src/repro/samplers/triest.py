@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.errors import ConfigurationError
+from repro.errors import EdgeExistsError
 from repro.graph.edges import Edge
 from repro.graph.stream import EdgeEvent, EventBlock
 from repro.samplers.kernel import PairingSamplerKernel, batch_columns
@@ -119,8 +119,8 @@ class Triest(PairingSamplerKernel):
                     # RandomPairingReservoir.insert), with the τ
                     # updates spliced in at the sample transitions.
                     if edge in index:
-                        raise ConfigurationError(
-                            f"item {edge!r} already sampled"
+                        raise EdgeExistsError(
+                            f"edge {edge!r} is already sampled"
                         )
                     population += 1
                     uncompensated = d_i + d_o

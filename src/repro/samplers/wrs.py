@@ -35,7 +35,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EdgeExistsError
 from repro.graph.edges import Edge, canonical_edge
 from repro.graph.stream import EdgeEvent, EventBlock
 from repro.patterns.base import Pattern
@@ -424,8 +424,8 @@ class WRS(PairingSamplerKernel):
                                 else:
                                     del wrdeg[c]
                         if oldest in rp_index:
-                            raise ConfigurationError(
-                                f"item {oldest!r} already sampled"
+                            raise EdgeExistsError(
+                                f"edge {oldest!r} is already sampled"
                             )
                         rp.population += 1
                         uncompensated = rp.d_i + rp.d_o

@@ -32,11 +32,12 @@ Both modes run under any of three **backends**, chosen by
   (:mod:`repro.streams.workers`), fed int64 event blocks
   (:func:`as_event_block`) over a bounded queue so ingestion
   pipelines with the parent's stream iteration.
-  Replicas are still *constructed* in the parent and shipped as
+  Fresh replicas are still *constructed* in the parent and shipped as
   checkpoints, so a process run consumes exactly the randomness of the
   serial run: **under fixed seeds the two backends produce identical
   estimates** (the load-bearing contract, tested per sampler and per
-  mode).
+  mode). A restored executor (:meth:`ShardedStreamExecutor.from_checkpoints`)
+  ships its checkpoint bytes as given and builds no replica here.
 * ``"remote"`` — every replica is **leased onto a shard host agent**
   (:mod:`repro.streams.host`) over TCP, with this executor acting as
   the coordinator: it assigns shards to ``hosts`` round-robin, routes
@@ -67,6 +68,7 @@ from repro.estimators.combine import (
 )
 from repro.graph.edges import Edge
 from repro.graph.stream import EdgeEvent, EdgeStream, EventBlock
+from repro.patterns.matching import get_pattern
 from repro.samplers.base import SubgraphCountingSampler
 from repro.samplers.checkpoint import (
     restore_sampler,
@@ -75,6 +77,7 @@ from repro.samplers.checkpoint import (
     state_to_wire,
 )
 from repro.streams.workers import ShardWorker
+from repro.weights.base import WeightFunction
 
 __all__ = [
     "ExecutorOptions",
@@ -273,6 +276,13 @@ def _checkpoint_bytes(shard: SubgraphCountingSampler) -> bytes:
     return state_to_wire(sampler_state_dict(shard))
 
 
+def _shared_pattern(patterns: list):
+    names = sorted({pattern.name for pattern in patterns})
+    if len(names) != 1:
+        raise ConfigurationError(f"shards must share one pattern, got {names}")
+    return patterns[0]
+
+
 def default_shard_key(edge: Edge) -> int:
     """Deterministic, process-stable hash of a canonical edge.
 
@@ -414,6 +424,9 @@ class ShardedStreamExecutor:
             knob (backend, hosts, chunk and queue sizing, start method,
             recovery policy, remote liveness and framing); ``None``
             runs the serial backend with the defaults.
+
+    :meth:`from_checkpoints` builds an executor that resumes from
+    per-shard checkpoints instead.
     """
 
     def __init__(
@@ -424,6 +437,88 @@ class ShardedStreamExecutor:
         shard_key: Callable[[Edge], int] = default_shard_key,
         options: ExecutorOptions | None = None,
     ) -> None:
+        self._configure(num_shards, mode, shard_key, options)
+        #: The replicas in this process: every shard on the serial
+        #: backend; on the worker backends the factory's replicas
+        #: (shipped at launch) or, after :meth:`close`, the harvested
+        #: final states. ``None`` while a restored worker-backend
+        #: executor holds its shards as checkpoint bytes or workers.
+        self.shards: list[SubgraphCountingSampler] | None = [
+            sampler_factory(i) for i in range(num_shards)
+        ]
+        self.pattern = _shared_pattern([s.pattern for s in self.shards])
+        self._weight_fns = [
+            getattr(shard, "weight_fn", None) for shard in self.shards
+        ]
+
+    @classmethod
+    def from_checkpoints(
+        cls,
+        blobs: Sequence[bytes],
+        *,
+        states: Sequence[dict] | None = None,
+        mode: str = "partition",
+        shard_key: Callable[[Edge], int] = default_shard_key,
+        options: ExecutorOptions | None = None,
+        weight_fn: WeightFunction | None = None,
+    ) -> "ShardedStreamExecutor":
+        """Resume an executor from per-shard framed checkpoints.
+
+        ``blobs[i]`` is shard *i*'s
+        :func:`~repro.samplers.checkpoint.state_to_wire` bytes, as
+        :meth:`snapshot` returned them or as read from disk; ``states``
+        are their :func:`~repro.samplers.checkpoint.state_from_wire`
+        decodes when the caller already validated them (decoded here
+        otherwise). ``weight_fn`` is the threshold samplers' weight
+        function (``None`` for the pairing samplers, or for a WSD-L
+        checkpoint, which embeds its actor).
+
+        The serial backend restores its replicas here. The worker
+        backends restore none in this process: the bytes are held as
+        given, shipped at the first event (the same lazy launch as a
+        fresh executor) and kept as the restart point for
+        :meth:`restart_shard`. Until the launch, clock and estimate
+        reads come from the decoded headers — exact, since nothing has
+        been dispatched since the cut — except Triest estimates (its
+        header holds τ, not the estimate), whose first read launches
+        the workers.
+        """
+        if states is None:
+            states = [state_from_wire(blob) for blob in blobs]
+        if len(states) != len(blobs):
+            raise ConfigurationError(
+                f"{len(states)} decoded states for {len(blobs)} checkpoints"
+            )
+        executor = cls.__new__(cls)
+        executor._configure(len(blobs), mode, shard_key, options)
+        executor.pattern = _shared_pattern(
+            [get_pattern(state["pattern"]) for state in states]
+        )
+        executor._weight_fns = [weight_fn] * executor.num_shards
+        executor._snapshots = list(blobs)
+        if executor._uses_workers:
+            executor.shards = None
+            executor._worker_times = [state["time"] for state in states]
+            executor._worker_estimates = [
+                None if state["algorithm"] == "triest"
+                else float(state["estimate"])
+                for state in states
+            ]
+            executor._synced = True
+        else:
+            executor.shards = [
+                restore_sampler(state, weight_fn) for state in states
+            ]
+        return executor
+
+    def _configure(
+        self,
+        num_shards: int,
+        mode: str,
+        shard_key: Callable[[Edge], int],
+        options: ExecutorOptions | None,
+    ) -> None:
+        """Validate and set what both constructors share."""
         if options is None:
             options = ExecutorOptions()
         options.validate()
@@ -447,24 +542,19 @@ class ShardedStreamExecutor:
         self._hosts: list[str] = list(options.hosts)
         #: Current shard → host placement (remote backend, after launch).
         self._assignment: list[str] | None = None
-        self.shards: list[SubgraphCountingSampler] = [
-            sampler_factory(i) for i in range(num_shards)
-        ]
-        patterns = {shard.pattern.name for shard in self.shards}
-        if len(patterns) != 1:
-            raise ConfigurationError(
-                f"shards must share one pattern, got {sorted(patterns)}"
-            )
-        self.pattern = self.shards[0].pattern
         #: Live worker handles (process backend, after lazy start).
         self._workers: list[ShardWorker] | None = None
         #: Events buffered in the parent, not yet dispatched to workers.
         self._pending: list[EdgeEvent] = []
-        #: Last shard checkpoints (framed bytes) harvested by
-        #: :meth:`snapshot` or adopted by :meth:`adopt_snapshot`.
+        #: Last shard checkpoints (framed bytes): the restart point for
+        #: :meth:`restart_shard`, and the shards' current state while a
+        #: restored worker-backend executor has not launched.
         self._snapshots: list[bytes] | None = None
+        #: Per-shard clocks and estimates as of the last barrier (or
+        #: the checkpoint headers, before a restored fleet launches;
+        #: ``None`` where a Triest header holds τ, not the estimate).
         self._worker_times: list[int] = []
-        self._worker_estimates: list[float] = []
+        self._worker_estimates: list = []
         self._synced = False
 
     # -- worker-backend lifecycle --------------------------------------------
@@ -477,16 +567,23 @@ class ShardedStreamExecutor:
     def _process_active(self) -> bool:
         return self._workers is not None
 
+    @property
+    def _out_of_process(self) -> bool:
+        """Whether shard state lives in workers or held checkpoint
+        bytes rather than in :attr:`shards`."""
+        return self._workers is not None or self.shards is None
+
     def _ensure_workers(self) -> None:
         """Lazily launch the worker fleet (process/remote backends).
 
-        Every replica is snapshotted through the checkpoint layer and
-        restored inside its worker, so worker-side state is bit-identical
-        to the parent replica at launch. From this point on the workers
-        hold the authoritative state; ``self.shards`` is refreshed from
-        their final checkpoints on :meth:`close`. On the remote backend
-        the fleet launch is also the lease placement: shard *i* goes to
-        ``hosts[i % len(hosts)]``.
+        A restored executor ships its held checkpoint bytes as they are;
+        otherwise every parent replica is snapshotted through the
+        checkpoint layer. Either way each worker restores its replica
+        from those bytes, bit-identical to the state at launch. From
+        this point on the workers hold the authoritative state;
+        ``self.shards`` is refreshed from their final checkpoints on
+        :meth:`close`. On the remote backend the fleet launch is also
+        the lease placement: shard *i* goes to ``hosts[i % len(hosts)]``.
         """
         if not self._uses_workers or self._workers is not None:
             return
@@ -495,13 +592,17 @@ class ShardedStreamExecutor:
                 self._hosts[i % len(self._hosts)]
                 for i in range(self.num_shards)
             ]
+        states = (
+            self._snapshots if self.shards is None
+            else map(_checkpoint_bytes, self.shards)
+        )
         workers: list[ShardWorker] = []
         try:
-            for index, shard in enumerate(self.shards):
+            for index, state in enumerate(states):
                 workers.append(
                     self._spawn_worker(
                         index,
-                        _checkpoint_bytes(shard),
+                        state,
                         host=(
                             None if self._assignment is None
                             else self._assignment[index]
@@ -521,7 +622,7 @@ class ShardedStreamExecutor:
         return ShardWorker(
             index,
             state,
-            weight_fn=getattr(self.shards[index], "weight_fn", None),
+            weight_fn=self._weight_fns[index],
             options=self.options,
             host=host,
         )
@@ -726,12 +827,16 @@ class ShardedStreamExecutor:
         is flushed and every worker barriered first, so the snapshot
         covers every event handed to the executor, and
         :meth:`shard_times` reads the barrier's clocks without another
-        round trip. The result is also retained as the restart point
-        for :meth:`restart_shard`.
+        round trip; before a restored fleet launches, the held bytes
+        are returned as they are. The result is also retained as the
+        restart point for :meth:`restart_shard`.
         """
         if self._process_active:
             self._sync()
             blobs = [reply[2] for reply in self._ask_all("snapshot")]
+        elif self.shards is None:
+            # Nothing was dispatched since these bytes were cut.
+            return list(self._snapshots)
         else:
             blobs = [_checkpoint_bytes(shard) for shard in self.shards]
         self._snapshots = blobs
@@ -761,20 +866,6 @@ class ShardedStreamExecutor:
         if failure is not None:
             raise failure
         return replies
-
-    def adopt_snapshot(self, blobs: Sequence[bytes]) -> None:
-        """Retain ``blobs`` as the restart point, as :meth:`snapshot` would.
-
-        For callers that already hold every shard's framed checkpoint
-        at the current cut — a session restored from disk arms
-        :meth:`restart_shard` with the bytes it read instead of
-        re-encoding the replicas it just built from them.
-        """
-        if len(blobs) != self.num_shards:
-            raise ConfigurationError(
-                f"{len(blobs)} checkpoints for {self.num_shards} shards"
-            )
-        self._snapshots = list(blobs)
 
     def restart_shard(
         self,
@@ -974,7 +1065,7 @@ class ShardedStreamExecutor:
         like :attr:`time`. Exposed so recovery and elasticity tests can
         assert that surviving shards were never replayed.
         """
-        if self._process_active:
+        if self._out_of_process:
             self._sync()
             return list(self._worker_times)
         return [shard.time for shard in self.shards]
@@ -982,14 +1073,16 @@ class ShardedStreamExecutor:
     def close(self) -> None:
         """Stop the worker fleet, harvesting final state into the parent.
 
-        Each worker's final checkpoint is restored over the parent-side
-        replica, so after ``close()`` the executor keeps answering
+        Each worker's final checkpoint is restored into
+        :attr:`shards`, so after ``close()`` the executor keeps answering
         ``estimate`` / ``shard_estimates`` / ``time`` queries serially
         with exactly the workers' final state. A worker found dead is
         replaced by its entry in the latest :meth:`snapshot` when one
         exists (its parent replica otherwise keeps the pre-crash state
         it had), and the first such crash is re-raised once every worker
-        has been stopped. Idempotent; a no-op on the serial backend.
+        has been stopped. Idempotent; a no-op on the serial backend and
+        before a launch (a restored executor that never launched keeps
+        its held bytes).
         """
         if not self._process_active:
             return
@@ -1000,6 +1093,7 @@ class ShardedStreamExecutor:
         except WorkerCrashError as exc:
             first_crash = exc
         workers, self._workers = self._workers, None
+        shards = self.shards or [None] * self.num_shards
         for index, worker in enumerate(workers):
             try:
                 final_state = worker.stop()
@@ -1011,10 +1105,10 @@ class ShardedStreamExecutor:
                     final_state = self._snapshots[index]
                 else:
                     continue
-            self.shards[index] = restore_sampler(
-                state_from_wire(final_state),
-                getattr(self.shards[index], "weight_fn", None),
+            shards[index] = restore_sampler(
+                state_from_wire(final_state), self._weight_fns[index]
             )
+        self.shards = shards
         self._pending.clear()
         self._synced = False
         if first_crash is not None:
@@ -1035,7 +1129,10 @@ class ShardedStreamExecutor:
 
     def shard_estimates(self) -> list[float]:
         """The raw per-shard partial estimates."""
-        if self._process_active:
+        if self._out_of_process:
+            if None in self._worker_estimates:
+                # A restored Triest header holds τ, not the estimate.
+                self._ensure_workers()
             self._sync()
             return list(self._worker_estimates)
         return [shard.estimate for shard in self.shards]
@@ -1073,7 +1170,7 @@ class ShardedStreamExecutor:
         separate counter) keeps the value consistent with actual shard
         state even when a shard raises mid-batch.
         """
-        if self._process_active:
+        if self._out_of_process:
             self._sync()
             clocks = self._worker_times
         else:
@@ -1086,7 +1183,11 @@ class ShardedStreamExecutor:
         # Never synchronise (or raise) from a repr: with live workers
         # the clock/estimate reads are barriers, so show the cached
         # values and flag their staleness instead.
-        if self._process_active and (self._pending or not self._synced):
+        if self._out_of_process and (
+            self._pending
+            or not self._synced
+            or None in self._worker_estimates
+        ):
             state = "unsynced"
         else:
             state = f"t={self.time}, estimate={self.estimate:.3f}"

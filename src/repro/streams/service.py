@@ -80,11 +80,7 @@ from repro.errors import (
 from repro.estimators.local import LocalSubgraphCounter
 from repro.graph.stream import EventBlock
 from repro.patterns.matching import get_pattern
-from repro.samplers.checkpoint import (
-    check_state_wire,
-    restore_sampler,
-    state_from_wire,
-)
+from repro.samplers.checkpoint import check_state_wire, state_from_wire
 from repro.streams.codec import wal_from_wire, wal_to_wire
 from repro.streams.executor import (
     ExecutorOptions,
@@ -136,7 +132,12 @@ _GENERATION_FILE_RE = re.compile(
 #: :class:`StreamSession` yourself and injecting a sampler factory.
 SERVICE_ALGORITHMS = ("WSD-H", "WSD-U", "GPS-A", "GPS", "Triest", "ThinkD", "WRS")
 
-_SERVICE_KEYS = {name.upper() for name in SERVICE_ALGORITHMS}
+#: Each hosted algorithm (upper-cased) → the algorithm its replicas'
+#: checkpoints record.
+_CHECKPOINT_ALGORITHMS = {
+    "WSD-H": "wsd", "WSD-U": "wsd", "GPS-A": "gps-a", "GPS": "gps",
+    "TRIEST": "triest", "THINKD": "thinkd", "WRS": "wrs",
+}
 
 #: Stream names double as checkpoint directory names, so they are
 #: restricted to a filesystem- and wire-safe alphabet.
@@ -295,7 +296,7 @@ class StreamConfig:
                 "checkpoint manifest; serve WSD-H, or run WSD-L "
                 "in-process with a StreamSession you build yourself"
             )
-        if key not in _SERVICE_KEYS:
+        if key not in _CHECKPOINT_ALGORITHMS:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; the service "
                 f"hosts {SERVICE_ALGORITHMS}"
@@ -391,7 +392,7 @@ class StreamSession:
         wal_limit_events: int = DEFAULT_WAL_LIMIT,
         wal_spill_events: int | None = None,
         wal_hard_limit_events: int | None = None,
-        _checkpoint: tuple[list, list[bytes]] | None = None,
+        _checkpoint: tuple[list[bytes], list[dict]] | None = None,
         _generation: int = 0,
         _local_counts: dict | None = None,
     ) -> None:
@@ -466,32 +467,34 @@ class StreamSession:
                     config.algorithm, config.pattern, shard_budget,
                     rng=rngs[index],
                 )
+
+            executor = ShardedStreamExecutor(
+                factory, config.shards, mode=config.mode, options=options
+            )
+            # Arm restart_shard from event zero: the executor retains
+            # this checkpoint until the next snapshot replaces it.
+            executor.snapshot()
         else:
-            # Replicas restored by _load_checkpoint, with the shard
-            # files they came from.
-            replicas, blobs = _checkpoint
-
-            def factory(index: int):
-                return replicas[index]
-
+            # The shard files as read, with the decodes that validated
+            # them: the worker backends hold the bytes until their
+            # workers restore them, and keep them as the restart point.
+            blobs, states = _checkpoint
+            executor = ShardedStreamExecutor.from_checkpoints(
+                blobs,
+                states=states,
+                mode=config.mode,
+                options=options,
+                weight_fn=config.build_weight_fn(),
+            )
         #: The underlying executor. Public for operational tooling and
         #: tests; normal callers use :meth:`ingest` and :attr:`queries`.
-        self.executor = ShardedStreamExecutor(
-            factory, config.shards, mode=config.mode, options=options
-        )
+        self.executor = executor
         #: Per-vertex local counter when ``config.track_local``.
         self.local: LocalSubgraphCounter | None = None
         if config.track_local:
             self.local = LocalSubgraphCounter().attach(self.executor.shards[0])
             if _local_counts:
                 self.local.load_vertex_estimates(_local_counts)
-        # Arm restart_shard from event zero (or the restored cut, with
-        # the bytes read from disk): the executor retains these
-        # checkpoints until the next snapshot replaces them.
-        if _checkpoint is None:
-            self.executor.snapshot()
-        else:
-            self.executor.adopt_snapshot(blobs)
         self._base_clocks = self.executor.shard_times()
         #: The read surface (estimate / stats / top_vertices / ...).
         self.queries = StreamQueries(self)
@@ -932,7 +935,11 @@ class StreamSession:
         their CRC-checked shard states, local accumulators reload, and
         the stream picks up exactly where the checkpoint barrier cut
         it. ``options`` defaults to the options recorded in the
-        manifest, so a process-backend stream resumes as one.
+        manifest, so a process-backend stream resumes as one. Each
+        shard file is decoded once here, to validate it; on the worker
+        backends its bytes then go to the worker as read, at the first
+        event, and no replica is built in this process
+        (:meth:`ShardedStreamExecutor.from_checkpoints`).
 
         WAL segments spilled on top of this checkpoint's generation are
         replayed in order through the ordinary ingest path and then
@@ -994,9 +1001,11 @@ class StreamSession:
     ) -> tuple:
         """Read and fully validate one checkpoint generation.
 
-        Returns ``(manifest, config, options, (replicas, blobs),
-        local_counts)``: every shard restored from its file, next to the
-        file's bytes. Raises :class:`ServiceError` naming what failed —
+        Returns ``(manifest, config, options, (blobs, states),
+        local_counts)``: every shard file's bytes, next to its
+        :func:`~repro.samplers.checkpoint.state_from_wire` decode — the
+        one validator, so a file that decodes restores wherever it is
+        shipped. Raises :class:`ServiceError` naming what failed —
         after quarantining the corrupt file so the next restore attempt (or
         the fallback to an older generation) does not trip over it
         again. Raises :class:`_SkippedGeneration` when this manifest
@@ -1047,8 +1056,10 @@ class StreamSession:
                 f"{manifest_path.name} names {len(shard_files)} shard "
                 f"files but its config declares {config.shards}"
             )
-        weight_fn = config.build_weight_fn()
-        replicas, blobs = [], []
+        algorithm = _CHECKPOINT_ALGORITHMS[
+            str(config.algorithm).upper().replace("_", "-")
+        ]
+        blobs, states = [], []
         for fname in shard_files:
             shard_path = directory / fname
             if not shard_path.is_file():
@@ -1057,10 +1068,14 @@ class StreamSession:
                 )
             try:
                 blob = shard_path.read_bytes()
-                replicas.append(
-                    restore_sampler(state_from_wire(blob), weight_fn)
-                )
+                state = state_from_wire(blob)
+                if state["algorithm"] != algorithm:
+                    raise ProtocolError(
+                        f"checkpoint holds a {state['algorithm']!r} "
+                        f"sampler, not the manifest's {algorithm!r}"
+                    )
                 blobs.append(blob)
+                states.append(state)
             except Exception as exc:
                 _quarantine_file(directory, shard_path, str(exc))
                 raise ServiceError(
@@ -1087,7 +1102,7 @@ class StreamSession:
                     f"validation: {exc}"
                 ) from exc
         return (
-            manifest, config, manifest_options, (replicas, blobs),
+            manifest, config, manifest_options, (blobs, states),
             local_counts,
         )
 

@@ -7,11 +7,13 @@ pipeline-asynchronous with the parent's stream iteration. Three design
 rules keep the parallel run *result-identical* to the serial one:
 
 * **State travels as checkpoints.** A worker never constructs its
-  sampler from scratch: the parent builds every replica (so all
-  randomness derives in one place), snapshots it through the generic
-  checkpoint layer and ships the framed checkpoint bytes
-  (:func:`~repro.samplers.checkpoint.state_to_wire`); the worker
-  rebuilds a bit-identical continuation via
+  sampler from scratch. For a fresh stream the parent builds every
+  replica (so all randomness derives in one place), snapshots it
+  through the generic checkpoint layer and ships the framed checkpoint
+  bytes (:func:`~repro.samplers.checkpoint.state_to_wire`); a restored
+  stream ships the checkpoint bytes it read, and its parent builds no
+  replica at all. Either way the worker rebuilds a bit-identical
+  continuation via
   :func:`~repro.samplers.checkpoint.restore_sampler`. Snapshot and stop
   replies carry the replica's checkpoint back in the same bytes, which
   the parent keeps undecoded. The same transport serves mid-run

@@ -23,6 +23,7 @@ from repro import build_stream
 from repro.errors import CorruptStateWarning, ProtocolError, ServiceError
 from repro.graph.generators import powerlaw_cluster
 from repro.streams.codec import decode, encode, wal_from_wire
+from repro.streams.executor import ExecutorOptions
 from repro.streams.host import HostAgent
 from repro.streams.ingest import ServiceClient
 from repro.streams.service import (
@@ -150,10 +151,12 @@ class TestWalQuarantine:
         second.close()
 
 
-def _checkpointed_state_dir(events, tmp_path):
+def _checkpointed_state_dir(events, tmp_path, algorithm="WSD-H"):
     """Two committed generations: clock 100 at g1, clock 200 at g2."""
     session = StreamSession(
-        "gen", StreamConfig(budget=200, seed=23), state_dir=tmp_path
+        "gen",
+        StreamConfig(algorithm=algorithm, budget=200, seed=23),
+        state_dir=tmp_path,
     )
     session.ingest(events[:100])
     session.checkpoint()
@@ -218,6 +221,21 @@ class TestCheckpointFallback:
         assert reborn.clock == 260
         reborn.close()
 
+    def test_shard_of_another_algorithm_falls_back(self, events, tmp_path):
+        """A shard file that decodes but holds another algorithm's
+        sampler than the manifest names never reaches a worker."""
+        directory = _checkpointed_state_dir(events, tmp_path)
+        shard = directory / "shard-0000-g000002.ckpt"
+        shard.write_bytes(_sampler_blob("Triest"))
+        with pytest.warns(CorruptStateWarning, match="quarantined"):
+            restored = StreamSession.restore(
+                "gen", tmp_path, options=ExecutorOptions(backend="process")
+            )
+        try:
+            assert restored.clock == 100
+        finally:
+            restored.close()
+
     def test_service_boot_survives_a_corrupt_tenant_checkpoint(
         self, events, tmp_path
     ):
@@ -254,7 +272,39 @@ def _duplicate_first_edge(doc) -> None:
         table[column] = raw[:8] + raw[:8] + raw[16:]
 
 
-#: CRC-valid payloads that each break one format-5 rule.
+def _first_edge(doc, table: str, u: int, v: int) -> None:
+    """Overwrite the first edge of ``table``'s int64 columns."""
+    columns = doc[table]
+    for column, label in (("u", u), ("v", v)):
+        columns[column] = struct.pack("<q", label) + columns[column][8:]
+
+
+def _edge_labels(doc, table: str) -> tuple[int, int]:
+    columns = doc[table]
+    return (
+        struct.unpack_from("<q", columns["u"])[0],
+        struct.unpack_from("<q", columns["v"])[0],
+    )
+
+
+def _self_loop(doc) -> None:
+    u, _ = _edge_labels(doc, "reservoir")
+    _first_edge(doc, "reservoir", u, u)
+
+
+def _reversed_edge(doc) -> None:
+    u, v = _edge_labels(doc, "reservoir")
+    _first_edge(doc, "reservoir", v, u)
+
+
+def _unknown_vertex(doc) -> None:
+    u, _ = _edge_labels(doc, "reservoir")
+    _first_edge(doc, "reservoir", u, 1 << 40)
+
+
+#: CRC-valid payloads that each break one format-5 rule. The first
+#: seven break the framing and table rules; the rest are states the
+#: restore path would refuse or rebuild into a replica no writer makes.
 HOSTILE_CHECKPOINTS = {
     "unequal_column_lengths": lambda doc: doc["reservoir"].update(
         rank=doc["reservoir"]["rank"][:-8]
@@ -269,7 +319,46 @@ HOSTILE_CHECKPOINTS = {
     "ranks_out_of_heap_order": lambda doc: doc["reservoir"].update(
         rank=np.frombuffer(doc["reservoir"]["rank"], "<f8")[::-1].tobytes()
     ),
+    "unknown_pattern": lambda doc: doc.update(pattern="pentagon"),
+    "unknown_rank_fn": lambda doc: doc.update(rank_fn="gaussian"),
+    "unusable_rng_state": lambda doc: doc["rng_state"].update(
+        bit_generator="MT19937"
+    ),
+    "arena_cutoff_zero": lambda doc: doc.update(arena_cutoff=0),
+    "self_loop": _self_loop,
+    "edge_not_canonical": _reversed_edge,
+    "vertex_never_interned": _unknown_vertex,
+    "nan_threshold": lambda doc: doc.update(threshold=float("nan")),
+    "zero_weight": lambda doc: doc["reservoir"].update(
+        weight=bytes(8) + doc["reservoir"]["weight"][8:]
+    ),
+    "negative_time": lambda doc: doc.update(time=-1),
+    "negative_threshold_generation": lambda doc: doc.update(
+        threshold_generation=-1
+    ),
+    "pairing_sample_over_budget": lambda doc: doc.update(budget=3),
+    "negative_rp_counter": lambda doc: doc["rp"].update(d_o=-1),
+    "negative_triest_tau": lambda doc: doc.update(tau=-1),
+    "negative_waiting_room": lambda doc: doc.update(
+        waiting_room_capacity=-1
+    ),
+    "waiting_room_over_budget": lambda doc: doc.update(
+        waiting_room_capacity=doc["budget"] + 1
+    ),
 }
+
+#: The algorithm whose checkpoint each fault edits (WSD-H otherwise).
+_FAULT_ALGORITHM = {
+    "pairing_sample_over_budget": "ThinkD",
+    "negative_rp_counter": "ThinkD",
+    "negative_triest_tau": "Triest",
+    "negative_waiting_room": "WRS",
+    "waiting_room_over_budget": "WRS",
+}
+
+
+def _algorithm(fault: str) -> str:
+    return _FAULT_ALGORITHM.get(fault, "WSD-H")
 
 
 def _hostile(blob: bytes, fault: str) -> bytes:
@@ -278,12 +367,11 @@ def _hostile(blob: bytes, fault: str) -> bytes:
     return _reframe(doc)
 
 
-def _sampler_blob() -> bytes:
-    from repro.samplers import WSD
+def _sampler_blob(algorithm: str = "WSD-H") -> bytes:
+    from repro.experiments.algorithms import make_sampler
     from repro.samplers.checkpoint import sampler_state_dict, state_to_wire
-    from repro.weights.heuristic import GPSHeuristicWeight
 
-    sampler = WSD("triangle", 30, GPSHeuristicWeight(), rng=3)
+    sampler = make_sampler(algorithm, "triangle", 30, rng=3)
     edges = powerlaw_cluster(40, m=3, triangle_probability=0.6, rng=1)
     sampler.process_batch(build_stream(edges, "light", beta=0.2, rng=2))
     return state_to_wire(sampler_state_dict(sampler))
@@ -295,28 +383,39 @@ class TestHostileCheckpoints:
         from repro.samplers.checkpoint import state_from_wire
 
         with pytest.raises(ProtocolError):
-            state_from_wire(_hostile(_sampler_blob(), fault))
+            state_from_wire(_hostile(_sampler_blob(_algorithm(fault)), fault))
 
     def test_service_quarantines_and_falls_back(
         self, events, tmp_path, fault
     ):
-        directory = _checkpointed_state_dir(events, tmp_path)
+        """On the process backend nothing restores in the service, so
+        decode alone must refuse the file; the worker then launches
+        from generation 1's bytes."""
+        directory = _checkpointed_state_dir(
+            events, tmp_path, _algorithm(fault)
+        )
         shard = directory / "shard-0000-g000002.ckpt"
         shard.write_bytes(_hostile(shard.read_bytes(), fault))
         with pytest.warns(CorruptStateWarning, match="quarantined"):
-            restored = StreamSession.restore("gen", tmp_path)
-        assert restored.clock == 100  # generation 1 survives
-        names = {p.name for p in (directory / "quarantine").iterdir()}
-        assert "shard-0000-g000002.ckpt" in names
-        restored.close()
+            restored = StreamSession.restore(
+                "gen", tmp_path, options=ExecutorOptions(backend="process")
+            )
+        try:
+            assert restored.clock == 100  # generation 1 survives
+            names = {p.name for p in (directory / "quarantine").iterdir()}
+            assert "shard-0000-g000002.ckpt" in names
+            restored.ingest(events[100:140])
+            assert restored.queries.time() == 140
+        finally:
+            restored.close()
 
     def test_host_answers_the_lease_with_an_error(self, fault):
         agent = HostAgent()
         thread = threading.Thread(target=agent.serve_forever, daemon=True)
         thread.start()
         try:
-            lease = ("lease", 0, _hostile(_sampler_blob(), fault),
-                     ("uniform", {}))
+            blob = _hostile(_sampler_blob(_algorithm(fault)), fault)
+            lease = ("lease", 0, blob, ("uniform", {}))
             blob = frame_bytes(
                 FRAME_HELLO, hello_payload("coordinator")
             ) + frame_bytes(FRAME_CONTROL, encode(lease))

@@ -606,6 +606,139 @@ class TestDurability:
 
 
 
+PROCESS = ExecutorOptions(backend="process", chunk_size=64)
+
+
+def _process_state_dir(events, tmp_path, name, config, cut, **kwargs):
+    """A process-backend stream checkpointed at ``cut`` events, stopped."""
+    with StreamSession(
+        name, config, options=PROCESS, state_dir=tmp_path, **kwargs
+    ) as session:
+        session.ingest(events[:cut])
+        session.checkpoint()
+        return session.queries.stats()
+
+
+class TestProcessBackendRestore:
+    """A restored process-backend stream: the service decodes each shard
+    file once and its workers restore the bytes as read."""
+
+    config = StreamConfig(budget=300, seed=13, shards=2)
+
+    def test_restore_then_continue_matches_serial(self, events, tmp_path):
+        reference = serial_reference(events, self.config, "proc")
+        half = len(events) // 2
+        _process_state_dir(events, tmp_path, "proc", self.config, half)
+        restored = StreamSession.restore("proc", tmp_path)
+        try:
+            assert restored.options.backend == "process"
+            assert restored.clock == half
+            restored.ingest(events[half:])
+            assert restored.queries.estimate() == reference
+        finally:
+            restored.close()
+
+    def test_killed_worker_restarts_from_the_bytes_on_disk(
+        self, events, tmp_path
+    ):
+        reference = serial_reference(events, self.config, "kill")
+        half = len(events) // 2
+        _process_state_dir(events, tmp_path, "kill", self.config, half)
+        directory = tmp_path / "kill"
+        manifest = json.loads((directory / "manifest.json").read_text())
+        on_disk = [
+            (directory / fname).read_bytes()
+            for fname in manifest["shard_files"]
+        ]
+        restored = StreamSession.restore("kill", tmp_path)
+        try:
+            restored.ingest(events[half:half + 100])
+            assert restored.executor._snapshots == on_disk
+            victim = restored.executor._workers[0].transport.process
+            victim.kill()
+            victim.join(5.0)
+            restored.ingest(events[half + 100:])
+            assert restored.queries.estimate() == reference
+            assert restored.supervisor.stats()["recoveries"] >= 1
+        finally:
+            restored.close()
+
+    def test_spilled_segments_replay_after_a_restore(self, events, tmp_path):
+        reference = serial_reference(events, self.config, "spill")
+        session = StreamSession(
+            "spill", self.config, options=PROCESS, state_dir=tmp_path,
+            wal_spill_events=40,
+        )
+        session.ingest(events[:200])
+        session.checkpoint()
+        for start in range(200, 500, 50):
+            session.ingest(events[start:start + 50])
+        assert session.wal_stats()["segments"] >= 2
+        session.close()  # no checkpoint: the segments hold events 200-500
+        restored = StreamSession.restore(
+            "spill", tmp_path, wal_spill_events=40
+        )
+        try:
+            assert restored.clock == 500
+            restored.ingest(events[500:])
+            assert restored.queries.estimate() == reference
+        finally:
+            restored.close()
+
+    @pytest.mark.parametrize("algorithm", ["WSD-H", "Triest"])
+    def test_first_stats_reads_the_checkpoint_headers(
+        self, events, tmp_path, algorithm
+    ):
+        """WSD-H headers carry each shard's clock and estimate, so the
+        first read needs no worker; Triest headers carry τ, so its
+        first estimate read launches the workers and barriers."""
+        config = self.config.with_changes(algorithm=algorithm)
+        expected = _process_state_dir(events, tmp_path, "first", config, 400)
+        restored = StreamSession.restore("first", tmp_path)
+        try:
+            assert restored.executor._workers is None
+            assert restored.queries.stats() == expected
+            launched = restored.executor._workers is not None
+            assert launched == (algorithm == "Triest")
+        finally:
+            restored.close()
+
+    def test_parent_neither_restores_nor_reencodes(
+        self, events, tmp_path, monkeypatch
+    ):
+        """Restore builds no replica in this process, and the first
+        ingest ships the bytes read from disk without encoding any."""
+        import repro.samplers.checkpoint as checkpoint
+
+        _process_state_dir(events, tmp_path, "count", self.config, 300)
+        calls = dict.fromkeys(
+            ("restore_sampler", "sampler_state_dict", "state_to_wire"), 0
+        )
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            original = getattr(checkpoint, name)
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro") and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted(name, original))
+        restored = StreamSession.restore("count", tmp_path)
+        try:
+            assert calls["restore_sampler"] == 0
+            restored.ingest(events[300:400])
+            assert restored.queries.time() == 400
+            assert calls == dict.fromkeys(calls, 0)
+        finally:
+            restored.close()
+
+
 class TestServiceCli:
     def test_sigint_before_serving_still_stops(self, monkeypatch, tmp_path):
         """A Ctrl-C that lands between the service's start and its

@@ -343,7 +343,7 @@ class TestBatchEquivalence:
         """The batched RP loops enforce the same duplicate-insertion
         guard as RandomPairingReservoir.insert — raised before any
         reservoir mutation, like the per-event path."""
-        from repro.errors import ConfigurationError
+        from repro.errors import EdgeExistsError
 
         events = [
             EdgeEvent.insertion(1, 2),
@@ -351,7 +351,7 @@ class TestBatchEquivalence:
             EdgeEvent.insertion(1, 2),  # infeasible re-insertion
         ]
         sampler = sampler_cls("triangle", 10, rng=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(EdgeExistsError):
             sampler.process_batch(events)
         rp = sampler._rp
         assert len(rp._items) == len(set(rp._items)) == 2

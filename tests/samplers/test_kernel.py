@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from repro.errors import SamplerError
+from repro.errors import EdgeExistsError, SamplerError
 from repro.graph.stream import EdgeEvent
 from repro.samplers import (
     GPS,
@@ -227,3 +227,52 @@ class TestRouting:
         for sampler in [one, *copies]:
             sampler.process_batch(events[450:])
         assert [c.estimate for c in copies] == [one.estimate] * 2
+
+
+class TestSecondInsertionOfASampledEdge:
+    """Re-inserting an edge that is still sampled is an
+    :class:`EdgeExistsError` on every sampler and both entry points.
+
+    With a full reservoir the threshold samplers (WSD, GPS) only notice
+    when the edge's new rank wins a slot — otherwise it is discarded
+    like any losing rank — so each case runs over a few seeds.
+    """
+
+    PREFIX = [EdgeEvent.insertion(u, v) for u, v in ((0, 1), (1, 2), (0, 2))]
+    FACTORIES = {
+        "wsd": lambda budget, rng: WSD(
+            "triangle", budget, UniformWeight(), rng=rng
+        ),
+        "gps": lambda budget, rng: GPS(
+            "triangle", budget, UniformWeight(), rng=rng
+        ),
+        "gps-a": lambda budget, rng: GPSA(
+            "triangle", budget, UniformWeight(), rng=rng
+        ),
+        "thinkd": lambda budget, rng: ThinkD("triangle", budget, rng=rng),
+        "triest": lambda budget, rng: Triest("triangle", budget, rng=rng),
+        "wrs": lambda budget, rng: WRS("triangle", budget, rng=rng),
+    }
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["event", "batch"])
+    @pytest.mark.parametrize("full", [False, True], ids=["room", "full"])
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    def test_raises_edge_exists(self, name, full, batched):
+        outcomes = set()
+        for seed in range(8):
+            sampler = self.FACTORIES[name](3 if full else 40, seed)
+            sampler.process_batch(self.PREFIX)
+            edge = next(iter(sampler.sampled_edges()))
+            again = EdgeEvent.insertion(*edge)
+            try:
+                if batched:
+                    sampler.process_batch([again])
+                else:
+                    sampler.process(again)
+            except EdgeExistsError:
+                outcomes.add("raised")
+            else:
+                outcomes.add("discarded")
+        assert "raised" in outcomes
+        if not (full and name in ("wsd", "gps")):
+            assert outcomes == {"raised"}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EdgeExistsError
 from repro.samplers.random_pairing import RandomPairingReservoir
 
 
@@ -28,7 +28,7 @@ class TestBasics:
     def test_duplicate_sampled_item_rejected(self):
         rp = RandomPairingReservoir(5, rng=0)
         rp.insert("a")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(EdgeExistsError):
             rp.insert("a")
 
     def test_delete_of_sampled_item(self):

@@ -286,6 +286,42 @@ class TestLifecycle:
         )
 
 
+class TestFromCheckpoints:
+    @pytest.mark.parametrize(
+        "name,scenario,make",
+        SAMPLER_CASES,
+        ids=[case[0] for case in SAMPLER_CASES],
+    )
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_resumes_bit_identically(
+        self, streams, name, scenario, make, backend
+    ):
+        """An executor resumed from a snapshot's bytes continues exactly
+        like the run they were cut from. The process backend builds no
+        replica here: it reads the cut's clocks from the checkpoint
+        headers and launches its workers at the first event."""
+        stream = streams[scenario]
+        half = len(stream) // 2
+        serial = run_serial(make, "partition", stream)
+        cut = build_executor(make, "serial", "partition")
+        cut.process_batch(stream[:half])
+        resumed = ShardedStreamExecutor.from_checkpoints(
+            cut.snapshot(),
+            options=ExecutorOptions(backend=backend, chunk_size=64),
+            weight_fn=getattr(cut.shards[0], "weight_fn", None),
+        )
+        try:
+            assert resumed.shard_times() == cut.shard_times()
+            if backend == "process":
+                assert resumed.shards is None
+                assert resumed._workers is None
+            resumed.process_batch(stream[half:])
+            assert resumed.estimate == serial.estimate
+            assert resumed.shard_estimates() == serial.shard_estimates()
+        finally:
+            resumed.close()
+
+
 class TestValidation:
     def test_bad_backend_rejected(self):
         with pytest.raises(ConfigurationError):

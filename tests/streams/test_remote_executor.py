@@ -100,6 +100,36 @@ def addresses(agents):
     return tuple(agent.address for agent in agents)
 
 
+@pytest.mark.parametrize(
+    "name,scenario,make",
+    SAMPLER_CASES,
+    ids=[case[0] for case in SAMPLER_CASES],
+)
+def test_from_checkpoints_leases_the_bytes(
+    agents, streams, name, scenario, make
+):
+    """A remote executor resumed from checkpoint bytes leases them as
+    given at its first event and continues bit-identically."""
+    stream = streams[scenario]
+    half = len(stream) // 2
+    serial = run_serial(make, "partition", stream)
+    cut = build_executor(make, "serial", "partition")
+    cut.process_batch(stream[:half])
+    resumed = ShardedStreamExecutor.from_checkpoints(
+        cut.snapshot(),
+        options=ExecutorOptions(
+            backend="remote", hosts=addresses(agents), chunk_size=64
+        ),
+        weight_fn=getattr(cut.shards[0], "weight_fn", None),
+    )
+    try:
+        assert resumed.shard_hosts() is None  # nothing leased yet
+        resumed.process_batch(stream[half:])
+        assert resumed.estimate == serial.estimate
+    finally:
+        resumed.close()
+
+
 class TestSerialRemoteParity:
     @pytest.mark.parametrize(
         "name,scenario,make",
